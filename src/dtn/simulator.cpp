@@ -418,7 +418,10 @@ SimResult Simulator::run(Scheme& scheme) {
   result.counters = read_counters();
   PHOTODTN_AUDIT(obs_.audit());
   if (obs_.metrics_on()) result.obs.metrics = obs_.registry().snapshot();
-  if (obs_.trace_on()) result.obs.trace_events = obs_.trace().merged();
+  if (obs_.trace_on()) {
+    result.obs.trace_events = obs_.trace().merged();
+    result.obs.trace_strings = obs_.trace().strings();
+  }
   if (obs_.provenance_on()) result.obs.prov_events = obs_.prov().merged();
   return result;
 }

@@ -1,5 +1,8 @@
-// Observability bundle: one MetricsRegistry + one TraceRecorder per
-// simulation run, switched by ObsConfig.
+// Observability bundle: one MetricsRegistry, one TraceRecorder and one
+// ProvenanceRecorder per simulation run, switched by ObsConfig at runtime.
+// The bundle is a member of the single-threaded Simulator, so every recorder
+// has exactly one writer — the event-loop thread — and carries no locks
+// (obs/event_log.h).
 //
 // Cost tiers:
 //   * Always-on: the simulator's own counters (SimCounters) live on the
@@ -9,16 +12,19 @@
 //     histograms, and the metrics JSON sink. Disabled cost: one branch per
 //     instrumentation site.
 //   * ObsConfig::trace (implied by a --trace-out sink): simulation-time
-//     span/instant events. Additionally compiled out entirely when the
-//     build sets PHOTODTN_OBS_SPANS=0 (cmake -DPHOTODTN_OBS_SPANS=OFF).
+//     span/instant events. Disabled cost: one branch per PHOTODTN_OBS_TRACE
+//     site.
 //   * ObsConfig::provenance (implied by a --provenance-out sink, or
 //     PHOTODTN_OBS_PROV=1): per-photo causal lifecycle events
 //     (obs/provenance.h). Deliberately NOT implied by PHOTODTN_OBS=1 —
 //     provenance is an attribution artifact, not a timeline, and keeping it
 //     opt-in leaves the PHOTODTN_OBS=1 goldens and overhead advisories
-//     untouched. Compiled out entirely by PHOTODTN_OBS_PROVENANCE=0.
+//     untouched. Disabled cost: one branch per PHOTODTN_OBS_PROV site.
 #pragma once
 
+#include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -47,6 +53,8 @@ struct ObsConfig {
 struct ObsReport {
   MetricsSnapshot metrics;
   std::vector<TraceEvent> trace_events;
+  // Keeps restored event strings alive (TraceRecorder::strings()).
+  std::shared_ptr<const std::set<std::string>> trace_strings;
   std::vector<ProvEvent> prov_events;
 };
 
@@ -81,15 +89,8 @@ class Obs {
 
 }  // namespace photodtn::obs
 
-// Compile-time span tier: PHOTODTN_OBS_SPANS=0 strips every trace-emission
-// site to a no-op (the runtime metrics tier is unaffected).
-#ifndef PHOTODTN_OBS_SPANS
-#define PHOTODTN_OBS_SPANS 1
-#endif
-
 /// Emits a trace event when `obs_ptr` is non-null and tracing is on:
 ///   PHOTODTN_OBS_TRACE(ctx.obs(), instant("capture", "photo", t, node, {...}));
-#if PHOTODTN_OBS_SPANS
 #define PHOTODTN_OBS_TRACE(obs_ptr, call)                          \
   do {                                                             \
     ::photodtn::obs::Obs* photodtn_obs_trace_o_ = (obs_ptr);       \
@@ -98,25 +99,13 @@ class Obs {
       photodtn_obs_trace_o_->trace().call;                         \
     }                                                              \
   } while (0)
-#else
-#define PHOTODTN_OBS_TRACE(obs_ptr, call) \
-  do {                                    \
-  } while (0)
-#endif
-
-// Compile-time provenance tier: PHOTODTN_OBS_PROVENANCE=0 strips every
-// provenance hook to a no-op (metrics and span tiers are unaffected).
-#ifndef PHOTODTN_OBS_PROVENANCE
-#define PHOTODTN_OBS_PROVENANCE 1
-#endif
 
 /// Records a provenance event when `obs_ptr` is non-null and provenance is
 /// on:
 ///   PHOTODTN_OBS_PROV(ctx.obs(), record({.kind = ..., .ts_s = now, ...}));
 /// Every provenance call site outside src/obs/ must use this macro (enforced
-/// by the raw-prov-hook lint rule) so fully-disabled builds compile the
-/// hooks out.
-#if PHOTODTN_OBS_PROVENANCE
+/// by the raw-prov-hook lint rule) so no hook skips the null-Obs /
+/// provenance_on() gate.
 #define PHOTODTN_OBS_PROV(obs_ptr, call)                           \
   do {                                                             \
     ::photodtn::obs::Obs* photodtn_obs_prov_o_ = (obs_ptr);        \
@@ -125,8 +114,3 @@ class Obs {
       photodtn_obs_prov_o_->prov().call;                           \
     }                                                              \
   } while (0)
-#else
-#define PHOTODTN_OBS_PROV(obs_ptr, call) \
-  do {                                   \
-  } while (0)
-#endif

@@ -3,17 +3,10 @@
 // Events are stamped with *simulation time* (seconds), never wall-clock —
 // the rule that keeps traces byte-identical across reruns and thread counts
 // (wall-clock perf data lives in the separate, non-golden wallPerf section;
-// see obs/chrome_trace.h and the banned-wallclock lint rule). Each recording
-// thread appends to its own buffer (registered once through a thread-local
-// cache keyed by the recorder's unique serial, so a recorder living at a
-// reused address never inherits a stale buffer); merged() interleaves the
-// buffers by (timestamp, global sequence stamp). The sequence stamp is a
-// relaxed atomic fetch-add: within one thread it preserves program order,
-// and in the deterministic pool regime (each chunk records only its own
-// work, chunk -> data mapping fixed by the caller) any cross-thread
-// interleaving difference is confined to identical-timestamp events from
-// independent chunks — which the simulator never emits, as all its events
-// come from the single event loop thread.
+// see obs/chrome_trace.h and the banned-wallclock lint rule). Storage is a
+// single-owner EventLog (obs/event_log.h): the simulator's event-loop thread
+// is the only writer, each event gets the next sequence stamp, and merged()
+// sorts by (timestamp, stamp).
 //
 // Event names and categories are `const char*` and must point to storage
 // outliving the recorder (string literals in practice): recording must not
@@ -21,7 +14,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -31,9 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/event_log.h"
 #include "persist/fwd.h"
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 
 namespace photodtn::obs {
 
@@ -54,14 +45,14 @@ struct TraceEvent {
   double ts_s = 0.0;   // simulation seconds
   double dur_s = 0.0;  // kComplete only
   std::int32_t tid = 0;
-  std::uint64_t seq = 0;  // global emission stamp; merge tie-break
+  std::uint64_t seq = 0;  // emission stamp; merge tie-break
   std::uint32_t nargs = 0;
   std::array<TraceArg, kMaxArgs> args{};
 };
 
 class TraceRecorder {
  public:
-  TraceRecorder();
+  TraceRecorder() = default;
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
@@ -76,51 +67,44 @@ class TraceRecorder {
   /// A counter track sample ("C" phase) at ts_s.
   void counter(const char* name, double ts_s, double value);
 
-  /// All events from every thread's buffer, sorted by (ts_s, seq).
-  std::vector<TraceEvent> merged() const;
+  /// All events, sorted by (ts_s, seq).
+  std::vector<TraceEvent> merged() const { return log_.merged(); }
 
-  std::size_t event_count() const;
+  std::size_t event_count() const { return log_.size(); }
 
-  /// Deep invariant check (audit builds / tests): buffers non-null, every
-  /// event has a name, finite non-negative duration, args within kMaxArgs,
-  /// and sequence stamps unique across buffers. Throws std::logic_error on
-  /// violation.
+  /// Owner of the strings that events restored from a snapshot point at
+  /// (null when nothing was restored). Holding it keeps merged() copies
+  /// valid after the recorder is gone.
+  std::shared_ptr<const std::set<std::string>> strings() const {
+    return interned_;
+  }
+
+  /// Deep invariant check (audit builds / tests): every event has a name,
+  /// finite non-negative duration, args within kMaxArgs, and a unique
+  /// sequence stamp. Throws std::logic_error on violation.
   void audit() const;
 
  private:
-  // Checkpoint reads merged() + the sequence clock; restore re-injects the
-  // events through restore_events(). Snapshot strings become interned copies
-  // (the recorder normally borrows string literals and owns nothing).
+  // Checkpoint reads log_; restore refills it. Snapshot strings become
+  // interned copies (the recorder normally borrows string literals and owns
+  // nothing).
   friend struct persist::StateAccess;
 
-  struct Buffer {
-    std::vector<TraceEvent> events;
-  };
-
-  Buffer& local();
   void push(TraceEvent ev, std::initializer_list<TraceArg> args);
 
   /// Returns a stable pointer to an owned copy of `s`, deduplicated — event
   /// name/cat/arg-key fields restored from a snapshot point here instead of
   /// at string literals.
-  const char* intern(const std::string& s);
-  /// Replaces every buffer with one holding `events` (whose string fields
-  /// must already be interned or literal) and sets the sequence clock, so
-  /// post-restore recording continues with fresh unique stamps.
-  void restore_events(std::vector<TraceEvent> events, std::uint64_t next_seq);
+  const char* intern(const std::string& s) {
+    if (!interned_) interned_ = std::make_shared<std::set<std::string>>();
+    return interned_->insert(s).first->c_str();
+  }
 
-  const std::uint64_t serial_;  // distinguishes recorders at reused addresses
-  std::atomic<std::uint64_t> next_seq_{0};
-  /// Guards the buffer registry (registration in local(), enumeration in
-  /// merged()/event_count()/audit()). Buffer *contents* are single-writer:
-  /// each Buffer is appended to only by the thread that registered it, so
-  /// appends happen outside the lock by design (see local()).
-  mutable Mutex mu_;
-  std::vector<std::unique_ptr<Buffer>> buffers_ PHOTODTN_GUARDED_BY(mu_);
+  EventLog<TraceEvent> log_;
   // Owned storage for restored event strings; std::set node addresses are
-  // stable, so the const char* handed out by intern() stay valid for the
-  // recorder's lifetime.
-  std::set<std::string> interned_ PHOTODTN_GUARDED_BY(mu_);
+  // stable, so the const char* handed out by intern() stay valid for as
+  // long as anyone holds strings().
+  std::shared_ptr<std::set<std::string>> interned_;
 };
 
 }  // namespace photodtn::obs

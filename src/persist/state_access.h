@@ -26,7 +26,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -424,7 +423,7 @@ struct StateAccess {
   }
 
   static void save(StateWriter& w, const obs::TraceRecorder& rec) {
-    w.u64(rec.next_seq_.load(std::memory_order_relaxed));
+    w.u64(rec.log_.next_seq());
     const std::vector<obs::TraceEvent> events = rec.merged();
     w.u64(events.size());
     for (const obs::TraceEvent& ev : events) {
@@ -469,12 +468,12 @@ struct StateAccess {
       }
       events.push_back(ev);
     }
-    rec.restore_events(std::move(events), next_seq);
+    rec.log_.restore(std::move(events), next_seq);
     rec.audit();
   }
 
   static void save(StateWriter& w, const obs::ProvenanceRecorder& rec) {
-    w.u64(rec.next_seq_.load(std::memory_order_relaxed));
+    w.u64(rec.log_.next_seq());
     const std::vector<obs::ProvEvent> events = rec.merged();
     w.u64(events.size());
     for (const obs::ProvEvent& ev : events) {
@@ -516,7 +515,7 @@ struct StateAccess {
       if (ev.seq >= next_seq) r.fail("provenance sequence stamp beyond the clock");
       events.push_back(ev);
     }
-    rec.restore_events(std::move(events), next_seq);
+    rec.log_.restore(std::move(events), next_seq);
     rec.audit();
   }
 

@@ -39,12 +39,8 @@ void OurScheme::init(SimContext& ctx) {
   obs::Obs* o = ctx.obs();
   // Provenance is independent of the metrics tier: resolve it before the
   // metrics early-return. The commit log stays off (zero per-commit cost)
-  // unless provenance wants marginal gains; the compile-tier constant keeps
-  // it off entirely when the hooks are compiled out.
-  prov_obs_ = (PHOTODTN_OBS_PROVENANCE != 0 && o != nullptr &&
-               o->provenance_on())
-                  ? o
-                  : nullptr;
+  // unless provenance wants marginal gains.
+  prov_obs_ = (o != nullptr && o->provenance_on()) ? o : nullptr;
   selector_.enable_commit_log(prov_obs_ != nullptr);
   if (o == nullptr || !o->metrics_on()) return;
   hooks_.obs = o;

@@ -117,8 +117,10 @@ ExperimentResult aggregate_results(const ExperimentSpec& spec,
     out.total_gossip_losses.add(static_cast<double>(r.counters.gossip_losses));
     if (!r.obs.metrics.empty()) out.metrics.merge(r.obs.metrics);
   }
-  if (!results.front().obs.trace_events.empty())
+  if (!results.front().obs.trace_events.empty()) {
     out.trace_events = std::move(results.front().obs.trace_events);
+    out.trace_strings = std::move(results.front().obs.trace_strings);
+  }
   if (!results.front().obs.prov_events.empty())
     out.prov_events = std::move(results.front().obs.prov_events);
   return out;

@@ -80,6 +80,7 @@ struct ExperimentResult {
   // any pool size); trace_events are run 0's, the run a trace file depicts.
   obs::MetricsSnapshot metrics;
   std::vector<obs::TraceEvent> trace_events;
+  std::shared_ptr<const std::set<std::string>> trace_strings;  // run 0's
   // Provenance events are run 0's too (the run --provenance-out depicts);
   // empty unless provenance is enabled (spec.scenario.sim.obs.provenance or
   // PHOTODTN_OBS_PROV=1).

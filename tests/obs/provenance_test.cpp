@@ -1,10 +1,10 @@
 // Tests for the provenance layer: recorder merge/audit semantics, the
-// persist round trip, and the end-to-end guarantees the attribution
-// pipeline relies on — provenance on/off never changes simulation results,
-// the JSONL export is byte-identical across thread-pool sizes and across
-// checkpoint/restore, and the causal invariants (capture before any use,
-// wire bytes bounded by the captured size) hold for every factory scheme
-// under sampled fault plans.
+// persist round trip (a typed test shared with TraceRecorder), and the
+// end-to-end guarantees the attribution pipeline relies on — provenance
+// on/off never changes simulation results, the JSONL export is
+// byte-identical across thread-pool sizes and across checkpoint/restore, and
+// the causal invariants (capture before any use, wire bytes bounded by the
+// captured size) hold for every factory scheme under sampled fault plans.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -16,6 +16,7 @@
 #include "geometry/angle.h"
 #include "obs/obs.h"
 #include "obs/provenance.h"
+#include "obs/trace_recorder.h"
 #include "persist/codec.h"
 #include "persist/snapshot.h"
 #include "persist/state_access.h"
@@ -34,6 +35,8 @@ namespace {
 
 using obs::ProvEvent;
 using obs::ProvenanceRecorder;
+using obs::TraceEvent;
+using obs::TraceRecorder;
 
 bool same_event(const ProvEvent& a, const ProvEvent& b) {
   return a.kind == b.kind && a.outcome == b.outcome && a.ts_s == b.ts_s &&
@@ -69,28 +72,96 @@ TEST(ProvenanceRecorder, MergeSortsByTimestampThenSeq) {
   rec.audit();
 }
 
-TEST(ProvenanceRecorder, PersistRoundTripContinuesTheSequenceClock) {
-  ProvenanceRecorder a;
-  a.record({.kind = ProvEvent::Kind::kCapture, .ts_s = 1.0, .photo = 7,
-            .node = 2, .bytes = 4'000'000});
-  a.record({.kind = ProvEvent::Kind::kTransfer,
-            .outcome = ProvEvent::Outcome::kInterrupted, .ts_s = 2.5,
-            .photo = 7, .node = 2, .peer = 3, .bytes = 1234});
-  persist::StateWriter w;
-  persist::StateAccess::save(w, a);
+// Per-recorder hooks for the shared persist round-trip test below.
+template <class Rec>
+struct RoundTrip;
 
-  ProvenanceRecorder b;
-  persist::StateReader r(w.bytes(), "prov test");
-  persist::StateAccess::load(r, b);
-  r.expect_end();
-  expect_same_events(a.merged(), b.merged(), "round trip");
+template <>
+struct RoundTrip<ProvenanceRecorder> {
+  static void fill(ProvenanceRecorder& rec) {
+    rec.record({.kind = ProvEvent::Kind::kCapture, .ts_s = 1.0, .photo = 7,
+                .node = 2, .bytes = 4'000'000});
+    rec.record({.kind = ProvEvent::Kind::kTransfer,
+                .outcome = ProvEvent::Outcome::kInterrupted, .ts_s = 2.5,
+                .photo = 7, .node = 2, .peer = 3, .bytes = 1234});
+  }
+  static void record_later(ProvenanceRecorder& rec) {
+    rec.record({.kind = ProvEvent::Kind::kDelivery, .ts_s = 3.0, .photo = 7});
+  }
+  static void expect_same(const std::vector<ProvEvent>& a,
+                          const std::vector<ProvEvent>& b) {
+    expect_same_events(a, b, "round trip");
+  }
+};
+
+template <>
+struct RoundTrip<TraceRecorder> {
+  static void fill(TraceRecorder& rec) {
+    rec.instant("capture", "photo", 2.5, 2, {{"photo", 7.0}});
+    rec.complete("contact", "contact", 1.0, 0.5, 2,
+                 {{"peer", 3.0}, {"bytes", 1234.0}});
+    rec.instant("drop", "photo", 2.5, 3, {{"photo", 7.0}});
+    rec.counter("delivered", 2.0, 1.0);
+  }
+  static void record_later(TraceRecorder& rec) {
+    rec.instant("delivery", "photo", 3.0, 0, {{"photo", 7.0}});
+  }
+  static void expect_same(const std::vector<TraceEvent>& a,
+                          const std::vector<TraceEvent>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].phase, b[i].phase) << i;
+      EXPECT_STREQ(a[i].name, b[i].name) << i;
+      EXPECT_STREQ(a[i].cat, b[i].cat) << i;
+      EXPECT_EQ(a[i].ts_s, b[i].ts_s) << i;
+      EXPECT_EQ(a[i].dur_s, b[i].dur_s) << i;
+      EXPECT_EQ(a[i].tid, b[i].tid) << i;
+      EXPECT_EQ(a[i].seq, b[i].seq) << i;
+      ASSERT_EQ(a[i].nargs, b[i].nargs) << i;
+      for (std::uint32_t k = 0; k < a[i].nargs; ++k) {
+        EXPECT_STREQ(a[i].args[k].first, b[i].args[k].first) << i;
+        EXPECT_EQ(a[i].args[k].second, b[i].args[k].second) << i;
+      }
+    }
+    // Restored strings are the recorder's own interned copies, one per
+    // distinct string: the two "photo" events (merged slots 2 and 3) share
+    // one copy of their category and arg key.
+    ASSERT_EQ(b.size(), 4u);
+    EXPECT_EQ(b[2].cat, b[3].cat);
+    EXPECT_NE(b[2].cat, a[2].cat);
+    EXPECT_EQ(b[2].args[0].first, b[3].args[0].first);
+  }
+};
+
+template <class Rec>
+class Recorder : public ::testing::Test {};
+
+using Recorders = ::testing::Types<ProvenanceRecorder, TraceRecorder>;
+TYPED_TEST_SUITE(Recorder, Recorders);
+
+TYPED_TEST(Recorder, PersistRoundTripContinuesTheSequenceClock) {
+  using Hooks = RoundTrip<TypeParam>;
+  TypeParam a;
+  Hooks::fill(a);
+  TypeParam b;
+  {
+    persist::StateWriter w;
+    persist::StateAccess::save(w, a);
+    persist::StateReader r(w.bytes(), "recorder test");
+    persist::StateAccess::load(r, b);
+    r.expect_end();
+  }  // snapshot bytes freed: restored events must not point into them
+  Hooks::expect_same(a.merged(), b.merged());
+  EXPECT_EQ(a.event_count(), b.event_count());
 
   // Recording after a restore continues with fresh unique stamps.
-  b.record({.kind = ProvEvent::Kind::kDelivery, .ts_s = 3.0, .photo = 7});
+  Hooks::record_later(b);
   b.audit();
-  const std::vector<ProvEvent> ev = b.merged();
-  ASSERT_EQ(ev.size(), 3u);
-  EXPECT_GT(ev[2].seq, ev[1].seq);
+  const auto ev = b.merged();
+  ASSERT_EQ(ev.size(), a.event_count() + 1);
+  for (std::size_t i = 0; i + 1 < ev.size(); ++i) {
+    EXPECT_LT(ev[i].seq, ev.back().seq) << i;
+  }
 }
 
 TEST(ProvenanceRecorder, LoadRejectsCorruptPayloads) {

@@ -194,6 +194,34 @@ TEST(Snapshot, ResumeEqualsContinuousWithObs) {
   }
 }
 
+TEST(Snapshot, RestoredTraceStringsOutliveTheSimulator) {
+  // A resumed run's trace events point at strings the restore interned; the
+  // result must keep them alive after the simulator is destroyed, as it is
+  // before a CLI run writes --trace-out.
+  const Rig rig(/*seed=*/13, /*obs_on=*/true);
+  std::string snap;
+  const SimResult continuous = run_capturing(rig, "OurScheme", 250, &snap);
+  ASSERT_FALSE(snap.empty());
+  SimResult resumed;
+  {
+    auto sim = rig.make_sim();
+    auto scheme = rig.make_scheme("OurScheme");
+    persist::restore(*sim, *scheme, snap);
+    resumed = sim->run(*scheme);
+  }
+  const auto& a = continuous.obs.trace_events;
+  const auto& b = resumed.obs.trace_events;
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_STREQ(a[i].name, b[i].name) << i;
+    ASSERT_STREQ(a[i].cat, b[i].cat) << i;
+    ASSERT_EQ(a[i].nargs, b[i].nargs) << i;
+    for (std::uint32_t k = 0; k < a[i].nargs; ++k) {
+      ASSERT_STREQ(a[i].args[k].first, b[i].args[k].first) << i;
+    }
+  }
+}
+
 TEST(Snapshot, PeekMetaDescribesTheCheckpoint) {
   const Rig rig;
   std::string snap;

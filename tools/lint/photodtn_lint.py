@@ -30,9 +30,9 @@ that have bitten floating-point/simulation codebases like this one:
                       instead of silently truncating on ENOSPC.
   raw-prov-hook       .prov().record(...) outside src/obs/ — provenance hook
                       sites go through the PHOTODTN_OBS_PROV macro (obs/obs.h)
-                      so a PHOTODTN_OBS_PROVENANCE=0 build compiles them out
-                      entirely. Reads (merged(), audit(), the persist round
-                      trip) are unaffected.
+                      so every hook keeps the null-Obs / provenance_on()
+                      runtime gate. Reads (merged(), audit(), the persist
+                      round trip) are unaffected.
 
 Determinism rules (ordering hazards that parallel simulators hit — each
 suppression REQUIRES a justification, see below):
@@ -179,8 +179,8 @@ LINE_RULES = [
         "raw-prov-hook",
         re.compile(r"(?:->|\.)\s*prov\s*\(\s*\)\s*\.\s*record\s*\("),
         "direct provenance record call; route hook sites through the "
-        "PHOTODTN_OBS_PROV macro (obs/obs.h) so PHOTODTN_OBS_PROVENANCE=0 "
-        "builds compile them out",
+        "PHOTODTN_OBS_PROV macro (obs/obs.h) so every hook keeps the "
+        "null-Obs / provenance_on() runtime gate",
         False,
         ("src/obs/",),
     ),
