@@ -1,12 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the algorithmic kernels: arc-set
 // operations, footprint computation, expected-coverage evaluation (exact
 // breakpoint integration vs literal 2^m enumeration vs Monte Carlo), the
-// greedy selector (lazy vs plain), and PROPHET updates.
+// greedy selector (CELF vs the plain-greedy test oracle), the toy
+// end-to-end run, and PROPHET updates. tools/bench/bench_report.py distills
+// one run of the selection and e2e benches into BENCH_micro.json.
 #include <benchmark/benchmark.h>
+#include <stdlib.h>
 
+#include <filesystem>
 #include <optional>
+#include <string>
+#include <system_error>
 
 #include "geometry/arc_set.h"
+#include "oracles/plain_greedy.h"
 #include "routing/prophet.h"
 #include "selection/exact_solver.h"
 #include "selection/expected_coverage.h"
@@ -145,17 +152,15 @@ BENCHMARK(BM_GreedyReallocateTiny)->Arg(4)->Arg(6)->Arg(8);
 
 // ------------------------------------------------------------------ greedy
 
+/// range = {pool size, 1 = CELF selector / 0 = plain-greedy oracle}.
 void BM_GreedySelect(benchmark::State& state) {
-  const bool lazy = state.range(1) != 0;
+  const bool celf = state.range(1) != 0;
   Workbench wb(250, static_cast<std::size_t>(state.range(0)));
-  GreedyParams params;
-  params.lazy = lazy;
-  const GreedySelector sel(params);
   for (auto _ : state) {
     SelectionEnvironment env(wb.model, {});
     GreedyPhase phase(env, 0.7);
     benchmark::DoNotOptimize(
-        sel.select(wb.model, wb.pool, 150ULL * 4'000'000, phase));
+        oracle::greedy_select(celf, wb.model, wb.pool, 150ULL * 4'000'000, phase));
   }
 }
 BENCHMARK(BM_GreedySelect)
@@ -330,9 +335,7 @@ void BM_GreedyGainCelf(benchmark::State& state) {
                 static_cast<std::size_t>(state.range(1)));
   std::vector<PhotoMeta> pool(db.pool.end() - static_cast<std::ptrdiff_t>(db.cands.size()),
                               db.pool.end());
-  GreedyParams params;
-  params.lazy = true;
-  const GreedySelector sel(params);
+  const GreedySelector sel;
   for (auto _ : state) {
     SelectionEnvironment env(db.model, db.collections);
     GreedyPhase phase(env, 0.7);
@@ -390,8 +393,14 @@ void BM_GreedySelectEnv(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedySelectEnv)->Arg(64)->Arg(256);
 
-/// The fixed-seed tiny scenario shared by the e2e benches.
-ExperimentSpec e2e_spec() {
+/// The e2e variants. kClean is the drift-gated baseline: with obs, faults
+/// and checkpointing off, every hook site is one branch or null test. The
+/// others are advisory ratios against it in BENCH_micro.json.
+enum class E2E { kClean, kFaults, kObs, kProv, kCkpt };
+
+/// The fixed-seed tiny scenario shared by the e2e benches, plus the
+/// variant's one tweak.
+ExperimentSpec e2e_spec(E2E variant = E2E::kClean) {
   ExperimentSpec spec;
   spec.scenario = ScenarioConfig::mit(1);
   spec.scenario.num_pois = 40;
@@ -401,77 +410,81 @@ ExperimentSpec e2e_spec() {
   spec.scenario.trace.base_pair_rate_per_hour = 0.3;
   spec.scenario.sim.node_storage_bytes = 40'000'000;
   spec.scheme = "OurScheme";
+  FaultConfig& f = spec.scenario.sim.faults;
+  switch (variant) {
+    case E2E::kFaults:  // every fault class on
+      f.contact_interrupt_prob = 0.25;
+      f.interrupt_fraction_min = 0.2;
+      f.interrupt_fraction_max = 0.9;
+      f.crash_rate_per_hour = 0.05;
+      f.mean_downtime_s = 2.0 * 3600.0;
+      f.bandwidth_jitter = 0.3;
+      f.gossip_loss_prob = 0.15;
+      break;
+    case E2E::kObs:  // metrics registry + span recording
+      spec.scenario.sim.obs.metrics = true;
+      spec.scenario.sim.obs.trace = true;
+      break;
+    case E2E::kProv:  // per-photo provenance log only
+      spec.scenario.sim.obs.provenance = true;
+      break;
+    case E2E::kClean:
+    case E2E::kCkpt:  // checkpointing is a RunPersistence setting
+      break;
+  }
   return spec;
 }
 
-/// End-to-end: one tiny fixed-seed OurScheme run through the full simulator
-/// (trace, workload, contacts, persistent engines). Tracked in
-/// BENCH_e2e.json for trend regressions. With default (inert) faults this is
-/// also the baseline for the fault-layer overhead check in BENCH_faults.json.
-void BM_OurSchemeE2E(benchmark::State& state) {
-  const ExperimentSpec spec = e2e_spec();
-  for (auto _ : state) benchmark::DoNotOptimize(run_single(spec, 42));
-}
-BENCHMARK(BM_OurSchemeE2E);
+/// A private directory under the system temp dir, removed with its contents
+/// when the owner goes out of scope; path() is empty if creation failed.
+class TempDir {
+ public:
+  TempDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "photodtn_bench_XXXXXX").string();
+    if (mkdtemp(tmpl.data()) != nullptr) path_ = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
 
-/// The same scenario under an active fault plan (every class on:
-/// interruptions, churn, jitter, gossip loss). The faulted/clean pair in
-/// BENCH_faults.json separates "what disruption costs the mission" from
-/// "what the fault layer costs the simulator".
-void BM_OurSchemeE2E_Faults(benchmark::State& state) {
-  ExperimentSpec spec = e2e_spec();
-  FaultConfig& f = spec.scenario.sim.faults;
-  f.contact_interrupt_prob = 0.25;
-  f.interrupt_fraction_min = 0.2;
-  f.interrupt_fraction_max = 0.9;
-  f.crash_rate_per_hour = 0.05;
-  f.mean_downtime_s = 2.0 * 3600.0;
-  f.bandwidth_jitter = 0.3;
-  f.gossip_loss_prob = 0.15;
-  for (auto _ : state) benchmark::DoNotOptimize(run_single(spec, 42));
-}
-BENCHMARK(BM_OurSchemeE2E_Faults);
+  const std::filesystem::path& path() const { return path_; }
 
-/// The same clean scenario with the obs layer fully on (metrics registry +
-/// span recording). Paired with BM_OurSchemeE2E in BENCH_obs.json: the
-/// enabled cost is advisory; the *disabled* cost is the gate — with obs off
-/// (the plain BM_OurSchemeE2E, every record site a null/branch test),
-/// BENCH_obs.json tracks the clean e2e median against its pre-obs prior.
-void BM_OurSchemeE2E_Obs(benchmark::State& state) {
-  ExperimentSpec spec = e2e_spec();
-  spec.scenario.sim.obs.metrics = true;
-  spec.scenario.sim.obs.trace = true;
-  for (auto _ : state) benchmark::DoNotOptimize(run_single(spec, 42));
-}
-BENCHMARK(BM_OurSchemeE2E_Obs);
+ private:
+  std::filesystem::path path_;
+};
 
-/// The same clean scenario with only the provenance tier on (per-photo
-/// causal event log, no metrics/trace). Paired with BM_OurSchemeE2E in
-/// BENCH_obs.json: the enabled cost is advisory (every capture, transfer
-/// attempt, drop, and delivery appends one POD event); the *disabled* cost
-/// rides the same clean-run gate as the obs pair — provenance off is one
-/// null/branch test per hook site (PHOTODTN_OBS_PROV).
-void BM_OurSchemeE2E_Prov(benchmark::State& state) {
-  ExperimentSpec spec = e2e_spec();
-  spec.scenario.sim.obs.provenance = true;
-  for (auto _ : state) benchmark::DoNotOptimize(run_single(spec, 42));
-}
-BENCHMARK(BM_OurSchemeE2E_Prov);
-
-/// The same clean scenario with checkpointing enabled (a crash-safe
-/// snapshot to disk every 500 events). Paired with BM_OurSchemeE2E in
-/// BENCH_persist.json: the enabled cost is advisory (serialization + an
-/// atomic file replace per checkpoint); the *disabled* cost — the plain
-/// BM_OurSchemeE2E, where persistence is one unset-hook test per event —
-/// is the gate against the pre-persist clean median.
-void BM_OurSchemeE2E_Ckpt(benchmark::State& state) {
-  const ExperimentSpec spec = e2e_spec();
+/// One tiny fixed-seed OurScheme run through the full simulator (trace,
+/// workload, contacts, persistent engines) per iteration. kCkpt writes a
+/// crash-safe snapshot every 500 events into a TempDir, never the cwd.
+void run_e2e(benchmark::State& state, E2E variant) {
+  const ExperimentSpec spec = e2e_spec(variant);
   RunPersistence persistence;
-  persistence.checkpoint_every = 500;
-  persistence.checkpoint_path = "bench_ckpt.snap";
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_single(spec, 42, persistence));
+  std::optional<TempDir> dir;
+  if (variant == E2E::kCkpt) {
+    dir.emplace();
+    if (dir->path().empty()) {
+      state.SkipWithError("cannot create a checkpoint directory");
+      return;
+    }
+    persistence.checkpoint_every = 500;
+    persistence.checkpoint_path = (dir->path() / "bench_ckpt.snap").string();
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(run_single(spec, 42, persistence));
 }
+
+void BM_OurSchemeE2E(benchmark::State& state) { run_e2e(state, E2E::kClean); }
+void BM_OurSchemeE2E_Faults(benchmark::State& state) { run_e2e(state, E2E::kFaults); }
+void BM_OurSchemeE2E_Obs(benchmark::State& state) { run_e2e(state, E2E::kObs); }
+void BM_OurSchemeE2E_Prov(benchmark::State& state) { run_e2e(state, E2E::kProv); }
+void BM_OurSchemeE2E_Ckpt(benchmark::State& state) { run_e2e(state, E2E::kCkpt); }
+BENCHMARK(BM_OurSchemeE2E);
+BENCHMARK(BM_OurSchemeE2E_Faults);
+BENCHMARK(BM_OurSchemeE2E_Obs);
+BENCHMARK(BM_OurSchemeE2E_Prov);
 BENCHMARK(BM_OurSchemeE2E_Ckpt);
 
 /// Multi-seed experiment sweep on an explicit pool — the run_experiment hot

@@ -43,55 +43,10 @@ std::vector<PhotoId> GreedySelector::select(const CoverageModel& model,
   std::vector<const PhotoFootprint*> fps;
   model.footprints_cached(pool, fps);
   stats_ = SelectionStats{};
-  std::vector<PhotoId> chosen =
-      params_.lazy ? select_lazy(pool, fps, capacity_bytes, phase)
-                   : select_plain(pool, fps, capacity_bytes, phase);
+  std::vector<PhotoId> chosen = select_lazy(pool, fps, capacity_bytes, phase);
   totals_.gain_evals += stats_.gain_evals;
   totals_.reevals += stats_.reevals;
   totals_.commits += stats_.commits;
-  return chosen;
-}
-
-std::vector<PhotoId> GreedySelector::select_plain(
-    std::span<const PhotoMeta> pool, std::span<const PhotoFootprint* const> fps,
-    std::uint64_t capacity_bytes, GreedyPhase& phase) const {
-  std::vector<PhotoId> chosen;
-  std::vector<char> taken(pool.size(), 0);
-  std::vector<std::size_t> active;
-  std::vector<const PhotoFootprint*> afps;
-  std::vector<CoverageValue> gains;
-  std::uint64_t used = 0;
-  for (;;) {
-    // One batched sweep over the still-eligible candidates per round, then
-    // an ordered argmax in pool order. Exact ties go to the lower PhotoId
-    // (see the header's determinism note); ids are unique within a pool, so
-    // the winner is unambiguous and identical to the per-candidate scan.
-    active.clear();
-    afps.clear();
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (taken[i] || used + pool[i].size_bytes > capacity_bytes) continue;
-      active.push_back(i);
-      afps.push_back(fps[i]);
-    }
-    if (active.empty()) break;
-    gains.resize(active.size());
-    phase.gains_batch(afps, gains, params_.pool);
-    stats_.gain_evals += active.size();
-    std::size_t best = 0;
-    for (std::size_t k = 1; k < active.size(); ++k) {
-      if (gains[k] > gains[best] ||
-          (gains[k] == gains[best] && pool[active[k]].id < pool[active[best]].id))
-        best = k;
-    }
-    if (!gain_worth_taking(gains[best], params_.eps)) break;
-    const std::size_t idx = active[best];
-    taken[idx] = 1;
-    used += pool[idx].size_bytes;
-    phase.commit(*fps[idx]);
-    chosen.push_back(pool[idx].id);
-    if (log_commits_) commit_log_.push_back({pool[idx].id, gains[best]});
-    ++stats_.commits;
-  }
   return chosen;
 }
 

@@ -12,16 +12,15 @@
 // use CELF lazy evaluation (Minoux): a max-heap of cached stale upper
 // bounds, re-evaluated only when a candidate tops the heap with an outdated
 // stamp. The heap is seeded by one batched gain sweep (GreedyPhase::
-// gains_batch), and the plain path evaluates each round through the same
-// batched kernel with an ordered argmax — both produce selections
-// bit-identical to the candidate-at-a-time scan.
+// gains_batch). The selection is bit-identical to plain greedy (a full
+// batched sweep plus ordered argmax per round), which lives beside the
+// tests as their differential oracle (tests/oracles/plain_greedy.h).
 //
 // Determinism: candidates whose gains tie exactly are taken in PhotoId
-// order (lowest id first). Pool order, the plain/lazy switch, the
-// incremental-engine path, and any thread count therefore all produce the
-// same selection — ties are common in practice (identical burst photos,
-// symmetric scenes), and index-based tie-breaking would let two evaluation
-// paths diverge on them.
+// order (lowest id first). Pool order, the incremental-engine path, and
+// any thread count therefore all produce the same selection — ties are
+// common in practice (identical burst photos, symmetric scenes), and
+// index-based tie-breaking would let two evaluation paths diverge on them.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +46,6 @@ struct GreedyParams {
   /// taken, so a pool whose gains all sit at the boundary terminates
   /// immediately instead of stalling on tie-churn.
   double eps = 1e-9;
-  /// Use lazy greedy re-evaluation (exact same output as the plain greedy;
-  /// exposed so tests can compare both paths).
-  bool lazy = true;
   /// Pool for the batched gain sweeps on large candidate sets; nullptr runs
   /// them serially. Results are bit-identical either way (see
   /// util/thread_pool.h), so this is purely a throughput knob — OurScheme
@@ -61,13 +57,13 @@ struct GreedyParams {
 /// the perf pipeline (the CELF re-evaluation rate is reeval / gain_evals).
 struct SelectionStats {
   std::uint64_t gain_evals = 0;  // all gain evaluations, batched or single
-  std::uint64_t reevals = 0;     // lazy-path stale re-evaluations (subset)
+  std::uint64_t reevals = 0;     // CELF stale re-evaluations (subset)
   std::uint64_t commits = 0;     // photos selected
 };
 
 /// One committed selection decision: the photo and its marginal gain *at
-/// commit time* (the CELF-fresh value, identical between the plain and lazy
-/// paths). Consumed by the provenance layer for kSelectCommit events.
+/// commit time* (the CELF-fresh value, identical to what plain greedy would
+/// see). Consumed by the provenance layer for kSelectCommit events.
 struct SelectCommit {
   PhotoId id = 0;
   CoverageValue gain;
@@ -147,10 +143,6 @@ class GreedySelector {
   // saved copy, and a zeroed side would make that diff wrap.
   friend struct persist::StateAccess;
 
-  std::vector<PhotoId> select_plain(std::span<const PhotoMeta> pool,
-                                    std::span<const PhotoFootprint* const> fps,
-                                    std::uint64_t capacity_bytes,
-                                    GreedyPhase& phase) const;
   std::vector<PhotoId> select_lazy(std::span<const PhotoMeta> pool,
                                    std::span<const PhotoFootprint* const> fps,
                                    std::uint64_t capacity_bytes,

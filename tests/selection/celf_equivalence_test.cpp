@@ -1,15 +1,17 @@
 // CELF / batched-kernel equivalence suite. The optimization contract of the
-// selection layer is *bitwise*: lazy (CELF) and plain greedy pick identical
-// photos in identical order; gains_batch returns exactly the values the
-// per-candidate gain() would; and a thread pool of any size changes nothing
-// but wall-clock time. These tests pin that contract across 1000 random
-// scenarios plus adversarial tie and eps-boundary constructions.
+// selection layer is *bitwise*: lazy (CELF) and plain greedy (the
+// oracles/plain_greedy.h oracle) pick identical photos in identical order;
+// gains_batch returns exactly the values the per-candidate gain() would; and
+// a thread pool of any size changes nothing but wall-clock time. These tests
+// pin that contract across 1000 random scenarios plus adversarial tie and
+// eps-boundary constructions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "oracles/plain_greedy.h"
 #include "selection/greedy_selector.h"
 #include "selection/selection_env.h"
 #include "test_util.h"
@@ -77,12 +79,11 @@ struct Scenario {
 std::vector<PhotoId> run_select(const Scenario& sc, bool lazy, std::uint64_t cap,
                                 ThreadPool* pool = nullptr, double eps = 1e-9) {
   GreedyParams params;
-  params.lazy = lazy;
   params.pool = pool;
   params.eps = eps;
   SelectionEnvironment env(sc.model, sc.collections);
   GreedyPhase phase(env, 0.7);
-  return GreedySelector(params).select(sc.model, sc.pool, cap, phase);
+  return oracle::greedy_select(lazy, sc.model, sc.pool, cap, phase, params);
 }
 
 TEST(CelfEquivalence, ThousandSeedsLazyEqualsPlainIdenticalSetsAndOrder) {
@@ -165,12 +166,10 @@ TEST(CelfEquivalence, AdversarialClonePoolTiesBreakByLowestIdOnBothPaths) {
                     rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
     std::vector<std::vector<PhotoId>> results;
     for (const bool lazy : {false, true}) {
-      GreedyParams params;
-      params.lazy = lazy;
       SelectionEnvironment env(model, {});
       GreedyPhase phase(env, 1.0);
       results.push_back(
-          GreedySelector(params).select(model, shuffled, 2 * kPhotoBytes, phase));
+          oracle::greedy_select(lazy, model, shuffled, 2 * kPhotoBytes, phase));
     }
     ASSERT_EQ(results[0], results[1]) << "perm " << perm;
     // Two photos fit; each clone group contributes its lowest id.
@@ -196,19 +195,18 @@ TEST(CelfEquivalence, EpsBoundaryIsExclusiveOnBothPaths) {
   ASSERT_GT(top, 0.0);
   for (const bool lazy : {false, true}) {
     GreedyParams params;
-    params.lazy = lazy;
     params.eps = top;  // both components <= eps -> nothing worth taking
     SelectionEnvironment env(model, {});
     GreedyPhase phase(env, 1.0);
-    EXPECT_TRUE(GreedySelector(params)
-                    .select(model, pool, kPhotoBytes, phase)
+    EXPECT_TRUE(oracle::greedy_select(lazy, model, pool, kPhotoBytes, phase, params)
                     .empty())
         << "lazy " << lazy;
     params.eps = std::nextafter(top, 0.0);  // strictly below -> selects
     SelectionEnvironment env2(model, {});
     GreedyPhase phase2(env2, 1.0);
-    EXPECT_EQ(GreedySelector(params).select(model, pool, kPhotoBytes, phase2).size(),
-              1u)
+    EXPECT_EQ(
+        oracle::greedy_select(lazy, model, pool, kPhotoBytes, phase2, params).size(),
+        1u)
         << "lazy " << lazy;
   }
 }
@@ -217,9 +215,7 @@ TEST(CelfEquivalence, StatsCountCommitsAndReevals) {
   Rng rng(9);
   test::reset_photo_ids();
   const Scenario sc(rng, 5, 40, 2);
-  GreedyParams params;
-  params.lazy = true;
-  const GreedySelector sel(params);
+  const GreedySelector sel;
   SelectionEnvironment env(sc.model, sc.collections);
   GreedyPhase phase(env, 0.7);
   const auto chosen = sel.select(sc.model, sc.pool, 10 * kPhotoBytes, phase);

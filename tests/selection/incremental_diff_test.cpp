@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "geometry/angle.h"
+#include "oracles/plain_greedy.h"
 #include "selection/expected_coverage.h"
 #include "selection/greedy_selector.h"
 #include "selection/selection_env.h"
@@ -192,20 +193,14 @@ TEST(IncrementalDiff, LazyAndPlainGreedySelectIdenticalSequences) {
         static_cast<std::uint64_t>(rng.uniform_int(2, 20)) * 1'000'000;
     const double p_self = rng.uniform(0.05, 1.0);
 
-    GreedyParams plain_params;
-    plain_params.lazy = false;
-    GreedyParams lazy_params;
-    lazy_params.lazy = true;
-
     SelectionEnvironment env_plain(inst.model, inst.nodes);
     GreedyPhase phase_plain(env_plain, p_self);
     const auto plain =
-        GreedySelector(plain_params).select(inst.model, pool, capacity, phase_plain);
+        oracle::plain_greedy_select(inst.model, pool, capacity, phase_plain);
 
     SelectionEnvironment env_lazy(inst.model, inst.nodes);
     GreedyPhase phase_lazy(env_lazy, p_self);
-    const auto lazy =
-        GreedySelector(lazy_params).select(inst.model, pool, capacity, phase_lazy);
+    const auto lazy = GreedySelector().select(inst.model, pool, capacity, phase_lazy);
 
     EXPECT_EQ(plain, lazy) << "seed " << seed;
   }
