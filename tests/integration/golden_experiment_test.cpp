@@ -1,5 +1,5 @@
-// Golden end-to-end regression: a fixed-seed tiny experiment for OurScheme
-// and Epidemic, serialized key=value and compared against a checked-in
+// Golden end-to-end regression: a fixed-seed tiny experiment for every
+// factory scheme, serialized key=value and compared against a checked-in
 // golden file. Any change to the selection engine, the simulator loop, or
 // the schemes that alters observable behavior shows up as a diff here —
 // floating-point keys compare with 1e-9 relative tolerance so pure
@@ -74,7 +74,11 @@ FaultConfig golden_fault_plan() {
 std::vector<std::pair<std::string, std::string>> compute_lines() {
   std::vector<std::pair<std::string, std::string>> lines;
   for (const bool faulted : {false, true}) {
-  for (const std::string scheme : {"OurScheme", "Epidemic"}) {
+  // OurScheme and Epidemic first: their keys predate the rest, and this
+  // order keeps them where they always were in the file.
+  for (const std::string scheme :
+       {"OurScheme", "Epidemic", "NoMetadata", "PhotoNet", "BestPossible",
+        "ModifiedSpray", "Spray&Wait", "PROPHET"}) {
     ExperimentSpec spec = golden_spec(scheme);
     if (faulted) spec.scenario.sim.faults = golden_fault_plan();
     const SimResult r = run_single(spec, 42);
