@@ -13,9 +13,9 @@
 #include <system_error>
 
 #include "geometry/arc_set.h"
+#include "oracles/exact_solver.h"
 #include "oracles/plain_greedy.h"
 #include "routing/prophet.h"
-#include "selection/exact_solver.h"
 #include "selection/expected_coverage.h"
 #include "selection/greedy_selector.h"
 #include "selection/selection_env.h"
@@ -132,9 +132,9 @@ BENCHMARK(BM_ExpectedCoverageMonteCarlo)->Arg(100)->Arg(1000);
 void BM_ExactReallocate(benchmark::State& state) {
   Workbench wb(10, static_cast<std::size_t>(state.range(0)), 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(exact_reallocate(wb.model, wb.pool, 1, 0.7,
-                                              4ULL * 4'000'000, 2, 0.3,
-                                              4ULL * 4'000'000, {}));
+    benchmark::DoNotOptimize(oracle::exact_reallocate(wb.model, wb.pool, 1, 0.7,
+                                                      4ULL * 4'000'000, 2, 0.3,
+                                                      4ULL * 4'000'000, {}));
   }
 }
 BENCHMARK(BM_ExactReallocate)->Arg(4)->Arg(6)->Arg(8);
@@ -300,32 +300,6 @@ void BM_GreedyGainScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyGainScan)->Args({64, 256})->Args({250, 256});
-
-/// The batched SoA sweep (GreedyPhase::gains_batch): all candidates in one
-/// PoI-major pass. range = {pois, candidates, pool threads; 0 = serial}.
-/// Bit-identical to the per-candidate loop of BM_GreedyGain for any thread
-/// count — the thread axis only moves wall-clock time.
-void BM_GainsBatch(benchmark::State& state) {
-  DenseBench db(static_cast<std::size_t>(state.range(0)),
-                static_cast<std::size_t>(state.range(1)));
-  const auto threads = static_cast<std::size_t>(state.range(2));
-  std::optional<ThreadPool> pool;
-  if (threads > 0) pool.emplace(threads);
-  SelectionEnvironment env(db.model, db.collections);
-  GreedyPhase phase(env, 0.7);
-  for (std::size_t i = 0; i < 8 && i < db.cands.size(); ++i)
-    phase.commit(*db.cands[i]);
-  std::vector<CoverageValue> gains(db.cands.size());
-  for (auto _ : state) {
-    phase.gains_batch(db.cands, gains, pool ? &*pool : nullptr);
-    benchmark::DoNotOptimize(gains.data());
-  }
-}
-BENCHMARK(BM_GainsBatch)
-    ->Args({64, 256, 0})
-    ->Args({250, 256, 0})
-    ->Args({250, 256, 2})
-    ->Args({250, 256, 4});
 
 /// Full CELF selection against the dense environment, reporting the lazy
 /// re-evaluation rate (reevals / gain_evals) — the fraction of heap pops

@@ -67,15 +67,12 @@ std::vector<PhotoId> GreedySelector::select_lazy(
       return x.id > y.id;
     }
   };
-  // Seed the CELF heap with one batched sweep — same values in the same
-  // push order as per-candidate seeding, so the heap state is identical.
-  std::vector<CoverageValue> gains(pool.size());
-  phase.gains_batch(fps, gains, params_.pool);
+  // Seed the CELF heap with every candidate's gain, in pool order.
   stats_.gain_evals += pool.size();
   std::priority_queue<Cand, std::vector<Cand>, Less> heap;
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (gain_worth_taking(gains[i], params_.eps))
-      heap.push({gains[i], pool[i].id, i, 0});
+    const CoverageValue g = phase.gain(*fps[i]);
+    if (gain_worth_taking(g, params_.eps)) heap.push({g, pool[i].id, i, 0});
   }
   std::vector<PhotoId> chosen;
   std::uint64_t used = 0;

@@ -24,14 +24,9 @@
 // into the segments), making one marginal-gain integral O(log B) in the
 // number of environment breakpoints instead of O(B).
 //
-// Batched gain kernel: the greedy selector evaluates every candidate's gain
-// over and over, and candidate-at-a-time evaluation streams each PoI's
-// segment arrays through cache once *per candidate*. gains_batch flips the
-// loop PoI-major — all candidate arcs touching a PoI are processed while
-// that PoI's structure-of-arrays state (cuts / fused rates / prefix sums /
-// segment lookup table) is hot — and writes each candidate's gain to its own
-// output slot, so the sweep parallelizes over candidate chunks with
-// bit-identical results (see util/thread_pool.h for the determinism rules).
+// One gain kernel: GreedyPhase::gain evaluates one candidate at a time on
+// the calling thread. A simulation run owns its environment and selects on
+// one thread; the thread pool only fans out whole runs (sim/experiment.h).
 #pragma once
 
 #include <cstdint>
@@ -44,7 +39,6 @@
 #include "persist/fwd.h"
 #include "selection/expected_coverage.h"
 #include "selection/poi_cover.h"
-#include "util/thread_pool.h"
 
 namespace photodtn {
 
@@ -156,8 +150,7 @@ class SelectionEnvironment {
 
   /// Lifetime count of lazy per-PoI rebuilds (refresh() calls): how much
   /// cached state the dirty-marking actually recomputed. Deterministic —
-  /// rebuilds happen on first query of a dirty PoI, never on a pool worker
-  /// (gains_batch rebuilds serially before fanning out). Feeds the
+  /// rebuilds happen on first query of a dirty PoI. Feeds the
   /// scheme.poi_rebuilds metric.
   std::uint64_t rebuild_count() const noexcept { return rebuilds_; }
 
@@ -197,7 +190,7 @@ class SelectionEnvironment {
 
   const CoverageModel* model_;
   // Per-PoI state as parallel arrays (structure-of-arrays): the hot queries
-  // — point_miss reads and the dirty checks of a batched gain sweep — then
+  // — point_miss reads and the dirty checks of every gain evaluation — then
   // stream dense double/char arrays instead of striding over a struct that
   // drags each PoI's cover list and miss function through cache with it.
   // dirty_ starts all-1: the initial rebuild must bake in the PoI profile.
@@ -219,16 +212,6 @@ class GreedyPhase {
   /// Expected-coverage gain of adding this footprint to the tentative
   /// selection (lexicographic CoverageValue).
   CoverageValue gain(const PhotoFootprint& fp) const;
-
-  /// Batched gain sweep: out[i] = gain(*fps[i]) for every candidate,
-  /// bit-identical to the one-at-a-time calls (footprint arcs are sorted by
-  /// PoI, so the PoI-major accumulation adds each candidate's terms in the
-  /// same order). With a pool, candidate chunks run on the workers after a
-  /// serial pass rebuilds every dirty PoI the sweep touches; each chunk
-  /// writes only its own output slots, so results do not depend on the
-  /// worker count (util/thread_pool.h).
-  void gains_batch(std::span<const PhotoFootprint* const> fps,
-                   std::span<CoverageValue> out, ThreadPool* pool = nullptr) const;
 
   /// Adds the footprint to the tentative selection.
   void commit(const PhotoFootprint& fp);

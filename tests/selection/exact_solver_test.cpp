@@ -2,10 +2,9 @@
 // greedy should be optimal or near-optimal (the reallocation problem is
 // NP-hard, so greedy carries no worst-case guarantee — but a large gap on
 // random instances would indicate a bug, not hardness).
-#include "selection/exact_solver.h"
-
 #include <gtest/gtest.h>
 
+#include "oracles/exact_solver.h"
 #include "selection/greedy_selector.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -13,6 +12,11 @@
 namespace photodtn {
 namespace {
 
+using oracle::allocation_value;
+using oracle::exact_reallocate;
+using oracle::exact_select;
+using oracle::ExactReallocation;
+using oracle::ExactSelection;
 using test::make_poi;
 using test::photo_viewing;
 

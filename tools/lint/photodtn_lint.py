@@ -49,7 +49,8 @@ suppression REQUIRES a justification, see below):
                       address order, different every run under ASLR.
   atomic-float        std::atomic<float/double> — concurrent FP accumulation
                       commits rounding in scheduling order; keep sums integer
-                      or reduce deterministically (ThreadPool::parallel_reduce).
+                      or give each chunk its own slot and fold the slots in
+                      chunk order after the barrier (as run_experiment does).
   unordered-reduce    std::reduce (unspecified evaluation order), or
                       std::accumulate over an unordered container's range —
                       fold results depend on an order nobody pinned down.
@@ -153,8 +154,8 @@ LINE_RULES = [
         "atomic-float",
         re.compile(r"std::atomic\s*<\s*(?:float|double|long\s+double)\s*>"),
         "atomic floating-point accumulation commits rounding in scheduling "
-        "order; keep concurrent sums integer-valued or fold per-chunk partials "
-        "in chunk order (ThreadPool::parallel_reduce)",
+        "order; keep concurrent sums integer-valued or write per-chunk partials "
+        "to their own slots and fold them in chunk order after the barrier",
         False,
         (),
     ),
@@ -162,7 +163,7 @@ LINE_RULES = [
         "unordered-reduce",
         re.compile(r"(?<![\w:])std::reduce\s*\("),
         "std::reduce folds in unspecified order; use std::accumulate over a "
-        "canonically ordered range or ThreadPool::parallel_reduce",
+        "canonically ordered range (per-chunk slots fold in chunk order)",
         False,
         (),
     ),
