@@ -6,8 +6,9 @@ benches, and distills it into one diff-friendly snapshot at the repo root:
 
   BENCH_micro.json (schema photodtn-bench/2) - per-bench median ns/op over
       the per-repetition runs, median user counters where a bench reports
-      them, the recording commit's git_sha, and one `derived` block:
-        greedy_gain_speedup   batched SoA gain sweep vs the legacy
+      them, the recording tree's git_sha (suffixed "-dirty" when the tree
+      has uncommitted changes), and one `derived` block:
+        greedy_gain_speedup   the per-candidate gain sweep vs the legacy
                               per-segment scan at 64 PoIs / 256 candidates,
                               against speedup_target (meets_target)
         celf_reeval_rate      CELF stale re-evaluations / gain evaluations
@@ -19,7 +20,12 @@ benches, and distills it into one diff-friendly snapshot at the repo root:
                               prior one (negative = this commit is faster)
         clean_delta_same_session
                               the same drift against --prior-binary, run in
-                              this session (null without one)
+                              this session: the median of per-pair deltas
+                              over order-alternated pairs (null without one)
+        clean_delta_spread    the prior binary's interquartile range over
+                              those pairs, as a fraction of its median: the
+                              noise the same-session delta sits in (null
+                              without --prior-binary)
         clean_overhead        the gating delta clamped at zero, so an
                               improvement never reads as budget consumption
         meets_clean_drift_target
@@ -51,7 +57,7 @@ import sys
 from pathlib import Path
 
 BENCH_FILTER = (
-    "BM_GreedyGain|BM_GainsBatch|BM_SelectionEnvBuild|BM_SelectionEnvReconcile|"
+    "BM_GreedyGain|BM_SelectionEnvBuild|BM_SelectionEnvReconcile|"
     "BM_GreedySelectEnv|BM_ExperimentSweep|BM_OurSchemeE2E(_Faults|_Obs|_Ckpt|_Prov)?$"
 )
 E2E_CLEAN = "BM_OurSchemeE2E"
@@ -69,6 +75,8 @@ TARGET_PAIR = ("BM_GreedyGain/64/256", "BM_GreedyGainScan/64/256")
 TARGET_SPEEDUP = 15.0
 # The clean-run drift budget: the strictest bound any disabled layer had.
 CLEAN_DRIFT_TARGET = 0.02
+# Order-alternated (current, prior) pairs behind clean_delta_same_session.
+SAME_SESSION_PAIRS = 10
 SNAPSHOT = "BENCH_micro.json"
 HISTORY = "BENCH_history.jsonl"
 
@@ -84,10 +92,14 @@ _NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def git_sha(repo_root: Path) -> str:
+    """HEAD's sha, suffixed "-dirty" when the work tree differs from it: a
+    recording of uncommitted code must not carry its parent's sha."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=repo_root, capture_output=True,
+                              text=True, check=True).stdout.strip()
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo_root,
-                             capture_output=True, text=True, check=True)
-        return out.stdout.strip()
+        sha = git("rev-parse", "HEAD")
+        return sha + "-dirty" if git("status", "--porcelain") else sha
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
 
@@ -136,24 +148,38 @@ def drift(cur: float | None, prior: float | None) -> float | None:
     return r - 1.0 if r is not None else None
 
 
-def same_session_clean_delta(current: Path, prior: Path, repetitions: int,
-                             pairs: int = 3) -> float | None:
-    """Signed clean-e2e drift of `current` vs `prior`, both run now.
+def same_session_clean_delta(
+        current: Path, prior: Path,
+        repetitions: int) -> tuple[float | None, float | None]:
+    """(delta, spread) of the clean e2e median, `current` vs `prior`, run now.
 
-    The binaries alternate (current, prior, current, prior, ...) so a load
-    spike hits both sides, and each side is summarized by the *minimum* of
-    its per-run medians: on a shared machine noise only ever adds time, so
-    the min is the estimate least contaminated by other tenants.
+    Each pair runs both binaries back to back, and the first of the pair
+    alternates (current first in even pairs, prior first in odd ones), so
+    neither side always gets the warmer or the quieter slot. The delta is
+    the median of the per-pair signed deltas: one lucky or unlucky run moves
+    it by at most one rank. The spread is the prior binary's interquartile
+    range over its pairs as a fraction of its median, the noise floor the
+    delta should be read against.
     """
-    cur_meds, pri_meds = [], []
-    for _ in range(pairs):
-        for binary, meds in ((current, cur_meds), (prior, pri_meds)):
-            entry = run_bench(binary, f"{E2E_CLEAN}$", repetitions).get(E2E_CLEAN)
+    binaries = {"cur": current, "pri": prior}
+    deltas, pri_meds = [], []
+    for k in range(SAME_SESSION_PAIRS):
+        meds = {}
+        for side in ("cur", "pri") if k % 2 == 0 else ("pri", "cur"):
+            entry = run_bench(binaries[side], f"{E2E_CLEAN}$",
+                              repetitions).get(E2E_CLEAN)
             if entry:
-                meds.append(entry["median_ns"])
-    if not cur_meds or not pri_meds:
-        return None
-    return drift(min(cur_meds), min(pri_meds))
+                meds[side] = entry["median_ns"]
+        if len(meds) == 2:
+            deltas.append(drift(meds["cur"], meds["pri"]))
+            pri_meds.append(meds["pri"])
+    if not deltas:
+        return None, None
+    spread = None
+    if len(pri_meds) >= 2:
+        q1, _, q3 = statistics.quantiles(pri_meds, n=4)
+        spread = ratio(q3 - q1, statistics.median(pri_meds))
+    return statistics.median(deltas), spread
 
 
 def prior_clean_ns(history: Path) -> float | None:
@@ -171,7 +197,7 @@ def prior_clean_ns(history: Path) -> float | None:
 
 
 def derive(benchmarks: dict, prior_ns: float | None,
-           same_session: float | None) -> dict:
+           same_session: float | None, spread: float | None) -> dict:
     def median(name: str) -> float | None:
         return benchmarks.get(name, {}).get("median_ns")
 
@@ -189,6 +215,7 @@ def derive(benchmarks: dict, prior_ns: float | None,
         .get("counters", {}).get("reeval_rate"),
         "clean_delta_vs_prior": clean_delta,
         "clean_delta_same_session": same_session,
+        "clean_delta_spread": spread,
         "clean_overhead": overhead,
         "clean_drift_target": CLEAN_DRIFT_TARGET,
         "meets_clean_drift_target": overhead is not None
@@ -223,11 +250,11 @@ def main() -> int:
     history = args.out_dir / HISTORY
 
     benchmarks = run_bench(args.bench_binary, BENCH_FILTER, args.repetitions)
-    same_session = None
+    same_session = spread = None
     if args.prior_binary is not None:
-        same_session = same_session_clean_delta(
+        same_session, spread = same_session_clean_delta(
             args.bench_binary, args.prior_binary, args.repetitions)
-    derived = derive(benchmarks, prior_clean_ns(history), same_session)
+    derived = derive(benchmarks, prior_clean_ns(history), same_session, spread)
 
     snapshot = args.out_dir / SNAPSHOT
     snapshot.write_text(json.dumps(

@@ -8,7 +8,11 @@ asserts on what it wrote: exactly one snapshot and one appended history
 line, the clean-drift gate's edges (+1.9% passes, +2.1% fails), a negative
 signed delta with zero clamped overhead on an improvement, the prior read
 from the last well-formed history line, the --prior-binary same-session
-delta driving the gate, and --check failing on a missed speedup.
+delta driving the gate, and --check failing on a missed speedup. The fake
+binaries log every call, so the same-session estimator's pair order
+(alternating which binary goes first) is asserted from that log, along with
+its median-of-pairs delta and the prior's spread. A recording made in a git
+work tree carries HEAD's sha, suffixed "-dirty" when the tree has changes.
 
 Exit status: 0 all assertions hold, 1 otherwise.
 """
@@ -25,13 +29,28 @@ from pathlib import Path
 REPORT = Path(__file__).resolve().parent / "bench_report.py"
 PRIOR_NS = 1_000_000.0
 
+SAME_SESSION_FILTER = "--benchmark_filter=BM_OurSchemeE2E$"
+
+# The fake logs "<role> <filter arg>" per call. SEQ, when non-empty, gives
+# the clean e2e time of its successive same-session calls.
 FAKE_BENCH = """#!{python}
 import json, sys
 MEDIANS = {medians!r}
+ROLE, LOG, SEQ = {role!r}, {log!r}, {seq!r}
 reps = 1
+filt = ""
 for arg in sys.argv[1:]:
     if arg.startswith("--benchmark_repetitions="):
         reps = int(arg.split("=", 1)[1])
+    if arg.startswith("--benchmark_filter="):
+        filt = arg
+with open(LOG, "a+") as fh:
+    fh.seek(0)
+    calls = [l.split() for l in fh.read().splitlines()]
+    fh.write(ROLE + " " + filt + "\\n")
+if SEQ and filt == {same_session!r}:
+    k = sum(1 for c in calls if c == [ROLE, filt])
+    MEDIANS["BM_OurSchemeE2E"] = SEQ[k % len(SEQ)]
 rows = []
 for name, ns in MEDIANS.items():
     for i in range(reps):
@@ -66,28 +85,46 @@ def history_line(clean_ns: float) -> str:
                        "derived": {}})
 
 
-def fake_binary(path: Path, meds: dict[str, float]) -> Path:
-    path.write_text(FAKE_BENCH.format(python=sys.executable, medians=meds))
+def fake_binary(path: Path, meds: dict[str, float], role: str, log: Path,
+                seq: list[float] | None = None) -> Path:
+    path.write_text(FAKE_BENCH.format(
+        python=sys.executable, medians=meds, role=role, log=str(log),
+        seq=seq or [], same_session=SAME_SESSION_FILTER))
     path.chmod(0o755)
     return path
 
 
+def git(cwd: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-c", "user.name=selftest", "-c", "user.email=selftest@localhost",
+         *args], cwd=cwd, capture_output=True, text=True, check=True).stdout.strip()
+
+
 def run_report(tmp: Path, clean_ns: float, history: list[str] | None = None,
                prior_clean_ns: float | None = None, speedup: float = 20.0,
-               check: bool = False) -> tuple[int, dict, list[str], list[str]]:
+               check: bool = False, cur_seq: list[float] | None = None,
+               prior_seq: list[float] | None = None, setup=None,
+               calls: list[list[str]] | None = None,
+               ) -> tuple[int, dict, list[str], list[str]]:
     """Runs the report in a fresh out-dir; returns (exit code, derived,
-    out-dir listing, history lines)."""
+    out-dir listing, history lines). `setup(out)` runs before the report;
+    `calls`, when given, receives the fake binaries' call log."""
     case = Path(tempfile.mkdtemp(dir=tmp))
     out = case / "out"
     out.mkdir()
+    if setup is not None:
+        setup(out)
     if history is not None:
         (out / "BENCH_history.jsonl").write_text("".join(h + "\n" for h in history))
+    log = case / "calls.log"
     cmd = [sys.executable, str(REPORT), "--repetitions", "3", "--out-dir", str(out),
            "--bench-binary",
-           str(fake_binary(case / "bench_micro", medians(clean_ns, speedup)))]
+           str(fake_binary(case / "bench_micro", medians(clean_ns, speedup), "cur",
+                           log, cur_seq))]
     if prior_clean_ns is not None:
         cmd += ["--prior-binary",
-                str(fake_binary(case / "prior_micro", medians(prior_clean_ns)))]
+                str(fake_binary(case / "prior_micro", medians(prior_clean_ns), "pri",
+                                log, prior_seq))]
     if check:
         cmd.append("--check")
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=case)
@@ -95,6 +132,8 @@ def run_report(tmp: Path, clean_ns: float, history: list[str] | None = None,
         raise AssertionError(f"report crashed:\n{proc.stdout}\n{proc.stderr}")
     snapshot = json.loads((out / "BENCH_micro.json").read_text())
     lines = (out / "BENCH_history.jsonl").read_text().splitlines()
+    if calls is not None:
+        calls.extend(line.split() for line in log.read_text().splitlines())
     return (proc.returncode, snapshot["derived"], sorted(os.listdir(out)), lines)
 
 
@@ -148,11 +187,38 @@ def main() -> int:
                and d["meets_clean_drift_target"] is False,
                "no prior fails the gate instead of passing it silently")
 
+        calls: list[list[str]] = []
         _, d, _, _ = run_report(tmp, PRIOR_NS * 1.10, [history_line(PRIOR_NS)],
-                                prior_clean_ns=PRIOR_NS * 1.09)
+                                prior_clean_ns=PRIOR_NS * 1.09, calls=calls)
         expect(abs(d["clean_delta_same_session"] - (1.10 / 1.09 - 1)) < 1e-9
                and d["meets_clean_drift_target"] is True,
                "a same-session delta under 2% passes despite +10% vs history")
+        session = [role for role, *filt in calls if filt == [SAME_SESSION_FILTER]]
+        expect(len(session) == 20, f"ten same-session pairs run ({len(session)} calls)")
+        expect(all(session[2 * k:2 * k + 2] ==
+                   (["cur", "pri"] if k % 2 == 0 else ["pri", "cur"])
+                   for k in range(len(session) // 2)),
+               f"each pair alternates which binary goes first ({session})")
+        expect(d["clean_delta_spread"] == 0.0,
+               "a steady prior binary has zero spread")
+
+        _, d, _, _ = run_report(tmp, PRIOR_NS, [history_line(PRIOR_NS)],
+                                prior_clean_ns=PRIOR_NS,
+                                cur_seq=[PRIOR_NS * 0.9] + [PRIOR_NS] * 9)
+        expect(d["clean_delta_same_session"] == 0.0,
+               "one lucky current run does not move the median-of-pairs delta")
+
+        _, d, _, _ = run_report(
+            tmp, PRIOR_NS, [history_line(PRIOR_NS)], prior_clean_ns=PRIOR_NS,
+            prior_seq=[PRIOR_NS * (1 + 0.02 * i) for i in range(10)])
+        # Exclusive quartiles of 1.00..1.18 are 1.035 and 1.145; median 1.09.
+        expect(abs(d["clean_delta_spread"] - 0.11 / 1.09) < 1e-9,
+               "clean_delta_spread is the prior's IQR over its median")
+
+        _, d, _, _ = run_report(tmp, PRIOR_NS * 1.019)
+        expect(d["clean_delta_spread"] is None
+               and d["clean_delta_same_session"] is None,
+               "no --prior-binary leaves the same-session keys null")
         _, d, _, _ = run_report(tmp, PRIOR_NS, [history_line(PRIOR_NS)],
                                 prior_clean_ns=PRIOR_NS / 1.05)
         expect(d["clean_delta_vs_prior"] == 0.0
@@ -166,6 +232,26 @@ def main() -> int:
         code, _, _, _ = run_report(tmp, PRIOR_NS * 1.05, [history_line(PRIOR_NS)],
                                    check=True)
         expect(code == 0, "--check does not gate on clean drift")
+
+        head = []
+
+        def committed_repo(out: Path) -> None:
+            git(out, "init", "-q")
+            (out / "tracked.txt").write_text("v1\n")
+            git(out, "add", "tracked.txt")
+            git(out, "commit", "-q", "-m", "base")
+            head.append(git(out, "rev-parse", "HEAD"))
+
+        def edited_repo(out: Path) -> None:
+            committed_repo(out)
+            (out / "tracked.txt").write_text("v2\n")
+
+        _, _, _, lines = run_report(tmp, PRIOR_NS, setup=committed_repo)
+        expect(json.loads(lines[-1])["git_sha"] == head[-1],
+               "a clean work tree records HEAD's sha")
+        _, _, _, lines = run_report(tmp, PRIOR_NS, setup=edited_repo)
+        expect(json.loads(lines[-1])["git_sha"] == head[-1] + "-dirty",
+               "an uncommitted change records <sha>-dirty")
 
     if failures:
         print(f"{len(failures)} assertion(s) failed", file=sys.stderr)
