@@ -14,9 +14,9 @@
 
 #include "geometry/arc_set.h"
 #include "oracles/exact_solver.h"
+#include "oracles/expected_coverage.h"
 #include "oracles/plain_greedy.h"
 #include "routing/prophet.h"
-#include "selection/expected_coverage.h"
 #include "selection/greedy_selector.h"
 #include "selection/selection_env.h"
 #include "sim/experiment.h"
@@ -104,7 +104,7 @@ void BM_ExpectedCoverageExact(benchmark::State& state) {
   const auto nodes =
       make_collections(wb, static_cast<std::size_t>(state.range(0)), 20);
   for (auto _ : state)
-    benchmark::DoNotOptimize(expected_coverage_exact(wb.model, nodes));
+    benchmark::DoNotOptimize(oracle::expected_coverage_exact(wb.model, nodes));
 }
 BENCHMARK(BM_ExpectedCoverageExact)->Arg(2)->Arg(6)->Arg(10);
 
@@ -113,7 +113,7 @@ void BM_ExpectedCoverageEnumerate(benchmark::State& state) {
   const auto nodes =
       make_collections(wb, static_cast<std::size_t>(state.range(0)), 6);
   for (auto _ : state)
-    benchmark::DoNotOptimize(expected_coverage_enumerate(wb.model, nodes));
+    benchmark::DoNotOptimize(oracle::expected_coverage_enumerate(wb.model, nodes));
 }
 BENCHMARK(BM_ExpectedCoverageEnumerate)->Arg(2)->Arg(6)->Arg(10);
 
@@ -122,7 +122,7 @@ void BM_ExpectedCoverageMonteCarlo(benchmark::State& state) {
   const auto nodes = make_collections(wb, 6, 6);
   Rng rng(7);
   for (auto _ : state)
-    benchmark::DoNotOptimize(expected_coverage_monte_carlo(
+    benchmark::DoNotOptimize(oracle::expected_coverage_monte_carlo(
         wb.model, nodes, rng, static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_ExpectedCoverageMonteCarlo)->Arg(100)->Arg(1000);

@@ -10,7 +10,11 @@
 namespace photodtn {
 
 std::vector<PhotoMeta> sorted_photos(const PhotoStore& store) {
-  std::vector<PhotoMeta> out = store.photos();
+  std::vector<PhotoMeta> out;
+  out.reserve(store.map().size());
+  // photodtn-lint: allow(unordered-iter): extract-and-sort — (taken_at, id)-sorted below
+  for (const auto& [id, p] : store.map()) out.push_back(p);
+  // (taken_at, id) is a total order, so one sort fixes the walk order.
   std::sort(out.begin(), out.end(), [](const PhotoMeta& x, const PhotoMeta& y) {
     if (x.taken_at != y.taken_at) return x.taken_at < y.taken_at;
     return x.id < y.id;

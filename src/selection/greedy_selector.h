@@ -30,7 +30,6 @@
 
 #include "coverage/coverage_model.h"
 #include "persist/fwd.h"
-#include "selection/expected_coverage.h"
 #include "selection/selection_env.h"
 
 namespace photodtn {

@@ -9,33 +9,6 @@
 
 namespace photodtn {
 
-std::vector<std::vector<NodePoiCover>> build_poi_cover_index(
-    const CoverageModel& model, std::span<const NodeCollection> nodes) {
-  std::vector<std::vector<NodePoiCover>> index(model.pois().size());
-  std::vector<ArcSet> per_poi(model.pois().size());
-  std::vector<char> seen(model.pois().size(), 0);
-  std::vector<std::size_t> touched;
-  for (const NodeCollection& nc : nodes) {
-    touched.clear();
-    for (const PhotoFootprint* fp : nc.footprints) {
-      for (const PoiArc& pa : fp->arcs) {
-        if (!seen[pa.poi_index]) {
-          seen[pa.poi_index] = 1;
-          touched.push_back(pa.poi_index);
-        }
-        per_poi[pa.poi_index].add(pa.arc);
-      }
-    }
-    for (const std::size_t poi : touched) {
-      index[poi].push_back(NodePoiCover{nc.node, nc.delivery_prob,
-                                        std::move(per_poi[poi])});
-      per_poi[poi] = ArcSet{};
-      seen[poi] = 0;
-    }
-  }
-  return index;
-}
-
 // ------------------------------------------------------------ PiecewiseMiss
 
 PiecewiseMiss PiecewiseMiss::build(
@@ -294,7 +267,9 @@ SelectionEnvironment::SelectionEnvironment(const CoverageModel& model)
       covers_(model.pois().size()),
       pt_miss_(model.pois().size(), 1.0),
       miss_(model.pois().size()),
-      dirty_(model.pois().size(), 1) {}
+      dirty_(model.pois().size(), 1),
+      arc_scratch_(model.pois().size()),
+      seen_scratch_(model.pois().size(), 0) {}
 
 SelectionEnvironment::SelectionEnvironment(const CoverageModel& model,
                                            std::span<const NodeCollection> others)
@@ -309,22 +284,13 @@ void SelectionEnvironment::add_collection(const NodeCollection& collection) {
                      "collection delivery probability must be in [0, 1]");
   Loaded& entry = loaded_[collection.node];
   entry.delivery_prob = collection.delivery_prob;
-  // Union the collection's arcs per PoI first, then append one cover entry
-  // per touched PoI (mirrors build_poi_cover_index, without the full-index
-  // allocation).
-  std::unordered_map<std::size_t, ArcSet> arcs_by_poi;
-  for (const PhotoFootprint* fp : collection.footprints)
-    for (const PoiArc& pa : fp->arcs) arcs_by_poi[pa.poi_index].add(pa.arc);
-  entry.touched.reserve(arcs_by_poi.size());
-  // photodtn-lint: allow(unordered-iter): one append per distinct PoI; touched is sorted below
-  for (auto& [poi, arcs] : arcs_by_poi) {
-    covers_[poi].push_back(
-        NodePoiCover{collection.node, collection.delivery_prob, std::move(arcs)});
+  // One cover entry per touched PoI, holding the collection's arcs there.
+  entry.touched = union_by_poi(collection.footprints);
+  for (const std::size_t poi : entry.touched) {
+    covers_[poi].push_back(NodePoiCover{collection.node, collection.delivery_prob,
+                                        std::move(arc_scratch_[poi])});
     dirty_[poi] = 1;
-    entry.touched.push_back(poi);
   }
-  // Deterministic order keeps audits and rebuild sweeps reproducible.
-  std::sort(entry.touched.begin(), entry.touched.end());
 }
 
 void SelectionEnvironment::extend_collection(
@@ -340,11 +306,8 @@ void SelectionEnvironment::extend_collection(
   }
   PHOTODTN_CHECK_MSG(it->second.delivery_prob == delivery_prob,
                      "extend_collection must keep the delivery probability");
-  std::unordered_map<std::size_t, ArcSet> arcs_by_poi;
-  for (const PhotoFootprint* fp : extra)
-    for (const PoiArc& pa : fp->arcs) arcs_by_poi[pa.poi_index].add(pa.arc);
-  // photodtn-lint: allow(unordered-iter): per-PoI find-or-extend of this node's single cover entry
-  for (auto& [poi, arcs] : arcs_by_poi) {
+  for (const std::size_t poi : union_by_poi(extra)) {
+    ArcSet& arcs = arc_scratch_[poi];
     std::vector<NodePoiCover>& covers = covers_[poi];
     auto cover = std::find_if(covers.begin(), covers.end(),
                               [&](const NodePoiCover& c) { return c.node == node; });
@@ -362,6 +325,27 @@ void SelectionEnvironment::extend_collection(
     cover->arcs = std::move(merged);
     dirty_[poi] = 1;
   }
+}
+
+const std::vector<std::size_t>& SelectionEnvironment::union_by_poi(
+    std::span<const PhotoFootprint* const> footprints) {
+  for (const std::size_t poi : touched_scratch_) {
+    arc_scratch_[poi] = ArcSet{};
+    seen_scratch_[poi] = 0;
+  }
+  touched_scratch_.clear();
+  for (const PhotoFootprint* fp : footprints) {
+    for (const PoiArc& pa : fp->arcs) {
+      if (!seen_scratch_[pa.poi_index]) {
+        seen_scratch_[pa.poi_index] = 1;
+        touched_scratch_.push_back(pa.poi_index);
+      }
+      arc_scratch_[pa.poi_index].add(pa.arc);
+    }
+  }
+  // Ascending PoI order keeps audits and rebuild sweeps reproducible.
+  std::sort(touched_scratch_.begin(), touched_scratch_.end());
+  return touched_scratch_;
 }
 
 bool SelectionEnvironment::remove_collection(NodeId node) {

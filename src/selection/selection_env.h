@@ -36,11 +36,27 @@
 
 #include "coverage/coverage_model.h"
 #include "coverage/coverage_value.h"
+#include "geometry/arc_set.h"
 #include "persist/fwd.h"
-#include "selection/expected_coverage.h"
-#include "selection/poi_cover.h"
 
 namespace photodtn {
+
+/// A node's photo collection (as footprints) plus its delivery probability
+/// toward the command center: one member of the node set M of Definition 2.
+/// Footprint pointers must outlive the call they are passed to.
+struct NodeCollection {
+  NodeId node = -1;
+  double delivery_prob = 0.0;
+  std::vector<const PhotoFootprint*> footprints;
+};
+
+/// One node's share of one PoI: its delivery probability and the union of
+/// its arcs on that PoI.
+struct NodePoiCover {
+  NodeId node = -1;
+  double p = 0.0;
+  ArcSet arcs;
+};
 
 /// Piecewise-constant product-of-misses on the aspect circle of one PoI,
 /// with prefix-sum integrals of env(v) * weight(v) for O(log B) range
@@ -165,8 +181,8 @@ class SelectionEnvironment {
 
   /// C_ex of the loaded collections (Definition 2), assembled from the
   /// per-PoI factors: point = sum w * (1 - miss), aspect = sum
-  /// w * (W_profile - full_integral). Equals expected_coverage_exact on the
-  /// same collections.
+  /// w * (W_profile - full_integral). Equals the exact reference evaluator
+  /// (tests/oracles/expected_coverage.h) on the same collections.
   CoverageValue total() const;
 
   /// Deep invariant check (audit builds / tests): per-PoI cover lists
@@ -187,6 +203,11 @@ class SelectionEnvironment {
   };
 
   void refresh(std::size_t poi) const;
+  /// Unions the footprints' arcs per PoI into arc_scratch_ and returns the
+  /// touched PoIs in ascending order. Callers may move out of
+  /// arc_scratch_[poi]; the next call resets it.
+  const std::vector<std::size_t>& union_by_poi(
+      std::span<const PhotoFootprint* const> footprints);
 
   const CoverageModel* model_;
   // Per-PoI state as parallel arrays (structure-of-arrays): the hot queries
@@ -200,6 +221,11 @@ class SelectionEnvironment {
   mutable std::vector<char> dirty_;
   mutable std::uint64_t rebuilds_ = 0;
   std::unordered_map<NodeId, Loaded> loaded_;
+  // union_by_poi scratch, PoI-indexed; the previous call's entries are
+  // reset at the start of the next.
+  std::vector<ArcSet> arc_scratch_;
+  std::vector<char> seen_scratch_;
+  std::vector<std::size_t> touched_scratch_;
 };
 
 class GreedyPhase {

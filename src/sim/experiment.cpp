@@ -74,9 +74,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, ThreadPool* pool) {
   PHOTODTN_CHECK(spec.runs >= 1);
   if (pool == nullptr) pool = &ThreadPool::shared();
   // One chunk per seed, each writing its own slot; the merge below then
-  // folds the slots in seed order — the same order the old per-seed
-  // std::async fan-out consumed its futures in, but with the pool's bounded
-  // worker set instead of runs-many OS threads.
+  // folds the slots in seed order. At most concurrency() runs are in
+  // flight, not one OS thread per seed.
   std::vector<SimResult> results(spec.runs);
   pool->parallel_chunks(spec.runs, [&](std::size_t k) {
     results[k] = run_single(spec, spec.seed_base + k);

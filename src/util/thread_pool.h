@@ -1,66 +1,48 @@
-// Deterministic shared thread pool: a fixed set of workers executing
-// *chunked* jobs whose chunk -> data mapping is decided entirely by the
-// caller. The pool never reorders, splits, or merges chunks; which worker
-// runs a chunk is scheduling noise that must not be observable. It fans out
-// whole simulation runs — run_experiment's seeds (sim/experiment.h) — and
-// never the work inside one: each run is single-threaded. Determinism rests
-// on two caller-side rules:
+// Deterministic fork-join pool for whole simulation runs: run_experiment's
+// seed fan-out (sim/experiment.h), one chunk per seed; a run itself is
+// single-threaded. parallel_chunks starts its helper threads on entry and
+// joins them before returning. Helpers and caller claim chunk indices from
+// one atomic counter, so which thread runs a chunk is scheduling noise that
+// must not be observable. Determinism rests on two caller-side rules:
 //
-//   1. Each chunk writes only its own output slots (results[k] per run).
-//      Writes to disjoint slots commute, so the result is bit-identical for
-//      any worker count, including zero workers.
+//   1. Each chunk writes only its own output slots (results[k] per run), so
+//      the result is bit-identical for any thread count.
 //   2. Anything combined across chunks is folded serially *in chunk order*
-//      after the barrier (run_experiment's per-run aggregation).
+//      after the call returns (run_experiment's per-run aggregation).
 //
-// The shared() pool is sized by PHOTODTN_THREADS (default: hardware
-// concurrency) and replaces the old per-seed std::async fan-out — bounded
-// oversubscription instead of one OS thread per seed. parallel_chunks is
-// re-entrant: a chunk body may itself call parallel_chunks on the same pool
-// (the caller always participates, so nested calls make progress even when
-// every worker is busy with long outer tasks).
+// shared() is sized by PHOTODTN_THREADS. A chunk body may call
+// parallel_chunks again; the nested call forks and joins its own helpers.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <thread>
 #include <vector>
-
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 
 namespace photodtn {
 
 /// Wall-clock execution stats, collected only when PHOTODTN_OBS=1 (see
-/// obs/wall_clock.h) — otherwise every field stays zero and the hot loop
-/// pays one predictable branch per chunk. Non-deterministic by nature:
-/// surfaced only through the non-golden wallPerf trace section.
+/// obs/wall_clock.h) — otherwise every field stays zero. Non-deterministic
+/// by nature: surfaced only through the non-golden wallPerf trace section.
 struct ThreadPoolStats {
   struct Lane {
     std::uint64_t chunks = 0;   // chunks this lane executed
     std::uint64_t busy_ns = 0;  // wall time spent inside chunk bodies
   };
-  /// One entry per dedicated worker, then one aggregating every calling
-  /// thread (the caller always participates in parallel_chunks).
+  /// One entry per helper slot, then one aggregating every calling thread.
   std::vector<Lane> lanes;
-  /// Per-chunk wall-latency histogram shared by all lanes; counts has one
-  /// trailing overflow bucket.
+  /// Per-chunk wall-latency histogram; counts has a trailing overflow bucket.
   std::vector<std::uint64_t> task_latency_bounds_ns;
   std::vector<std::uint64_t> task_latency_counts;
 };
 
 class ThreadPool {
  public:
-  /// `concurrency` counts the calling thread: a pool built with 1 spawns no
-  /// workers and runs every chunk inline on the caller, in chunk order.
-  /// 0 is clamped to 1.
+  /// `concurrency` counts the calling thread: a pool built with 1 never
+  /// starts a thread. 0 is clamped to 1.
   explicit ThreadPool(std::size_t concurrency);
-  ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
@@ -70,36 +52,21 @@ class ThreadPool {
 
   std::size_t concurrency() const noexcept { return concurrency_; }
 
-  /// Runs fn(chunk) for every chunk in [0, chunks), blocking until all
-  /// complete. The caller participates; with no workers (or from inside a
-  /// busy pool) it simply runs the chunks itself in ascending order. The
-  /// first exception a chunk throws is rethrown here after the barrier.
+  /// Runs fn(chunk) for every chunk in [0, chunks) and returns when all are
+  /// done. With one chunk or concurrency 1 the caller runs them in
+  /// ascending order and an exception propagates at once. Otherwise
+  /// min(concurrency - 1, chunks - 1) helper threads join the caller; a
+  /// throwing chunk does not stop the others, and after the join the
+  /// exception of the lowest-index failed chunk is rethrown.
   void parallel_chunks(std::size_t chunks,
                        const std::function<void(std::size_t)>& fn);
 
   /// Snapshot of the wall-clock execution stats (all-zero unless
-  /// PHOTODTN_OBS=1). Excludes the inline fast path (single-chunk or
-  /// single-thread jobs), which never enters the queue.
+  /// PHOTODTN_OBS=1). Excludes the inline path.
   ThreadPoolStats stats() const;
 
  private:
-  /// One parallel_chunks invocation: workers and the caller race on `next`
-  /// (claiming chunks), and the caller waits until `done` reaches `total`.
-  /// `fn` and `total` are written once before the job is published and read
-  /// lock-free afterwards; the mutable progress state is capability-checked.
-  struct Job {
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::size_t total = 0;
-    Mutex mu;
-    std::size_t next PHOTODTN_GUARDED_BY(mu) = 0;
-    std::size_t done PHOTODTN_GUARDED_BY(mu) = 0;
-    std::exception_ptr error PHOTODTN_GUARDED_BY(mu);
-    CondVar all_done;
-  };
-
-  /// Per-lane wall-clock counters (relaxed atomics: each is a monotone sum,
-  /// read only by stats()).
-  struct LaneCounters {
+  struct LaneCounters {  // monotone sums, read only by stats()
     std::atomic<std::uint64_t> chunks{0};
     std::atomic<std::uint64_t> busy_ns{0};
   };
@@ -107,22 +74,11 @@ class ThreadPool {
       1'000,         10'000,        100'000,      1'000'000,
       10'000'000,    100'000'000,   1'000'000'000};
 
-  void worker_loop(std::size_t lane);
-  /// Claims and runs chunks of `job` until none are left, accounting the
-  /// work to `lane` when wall metrics are enabled.
-  void drain(Job& job, LaneCounters& lane);
-
   std::size_t concurrency_;
-  /// concurrency_ entries: one per worker plus the shared caller lane.
+  /// concurrency_ entries: helper i uses lanes_[i], every caller the last.
   std::vector<LaneCounters> lanes_;
   std::array<std::atomic<std::uint64_t>, kTaskLatencyBoundsNs.size() + 1>
       latency_counts_{};
-  std::vector<std::thread> workers_;
-  Mutex queue_mu_;
-  CondVar queue_cv_;
-  /// One entry per pending helper slot of a published job.
-  std::deque<std::shared_ptr<Job>> queue_ PHOTODTN_GUARDED_BY(queue_mu_);
-  bool stopping_ PHOTODTN_GUARDED_BY(queue_mu_) = false;
 };
 
 }  // namespace photodtn

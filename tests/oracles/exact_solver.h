@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "coverage/coverage_model.h"
-#include "selection/expected_coverage.h"
+#include "oracles/expected_coverage.h"
 #include "util/check.h"
 
 namespace photodtn::oracle {

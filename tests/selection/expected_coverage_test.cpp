@@ -1,4 +1,4 @@
-#include "selection/expected_coverage.h"
+#include "oracles/expected_coverage.h"
 
 #include <gtest/gtest.h>
 
@@ -40,7 +40,7 @@ TEST(ExpectedCoverage, SingleCertainNodeEqualsPlainCoverage) {
   Fixture f(test::single_poi_model(30.0));
   auto& n = f.add_node(1, 1.0);
   f.give(n, photo_viewing(f.model.pois()[0], 0.0));
-  const CoverageValue ex = expected_coverage_exact(f.model, f.nodes);
+  const CoverageValue ex = oracle::expected_coverage_exact(f.model, f.nodes);
   EXPECT_NEAR(ex.point, 1.0, 1e-12);
   EXPECT_NEAR(ex.aspect, deg_to_rad(60.0), 1e-9);
 }
@@ -49,7 +49,7 @@ TEST(ExpectedCoverage, SingleUncertainNodeScalesByP) {
   Fixture f(test::single_poi_model(30.0));
   auto& n = f.add_node(1, 0.3);
   f.give(n, photo_viewing(f.model.pois()[0], 0.0));
-  const CoverageValue ex = expected_coverage_exact(f.model, f.nodes);
+  const CoverageValue ex = oracle::expected_coverage_exact(f.model, f.nodes);
   EXPECT_NEAR(ex.point, 0.3, 1e-12);
   EXPECT_NEAR(ex.aspect, 0.3 * deg_to_rad(60.0), 1e-9);
 }
@@ -62,7 +62,7 @@ TEST(ExpectedCoverage, TwoNodesSamePhotoComplementaryProbability) {
   f.give(n1, p);
   auto& n2 = f.add_node(2, 0.5);
   f.give(n2, p);
-  const CoverageValue ex = expected_coverage_exact(f.model, f.nodes);
+  const CoverageValue ex = oracle::expected_coverage_exact(f.model, f.nodes);
   EXPECT_NEAR(ex.point, 0.75, 1e-12);  // 1 - 0.5 * 0.5
   EXPECT_NEAR(ex.aspect, 0.75 * deg_to_rad(60.0), 1e-9);
 }
@@ -78,7 +78,7 @@ TEST(ExpectedCoverage, PaperExampleFormulaTwo) {
   f.give(na, photo_viewing(poi, 90.0));
   auto& nb = f.add_node(2, pb);
   f.give(nb, photo_viewing(poi, 180.0));
-  const CoverageValue ex = expected_coverage_exact(f.model, f.nodes);
+  const CoverageValue ex = oracle::expected_coverage_exact(f.model, f.nodes);
   // Hand computation: F0 alone covers 60 deg; each additional disjoint view
   // adds 60 deg with its probability.
   EXPECT_NEAR(ex.point, 1.0, 1e-12);
@@ -109,8 +109,9 @@ TEST(ExpectedCoverage, ExactMatchesEnumerationOnRandomInstances) {
                                 rng.uniform(50.0, 150.0)));
       }
     }
-    const CoverageValue exact = expected_coverage_exact(f.model, f.nodes);
-    const CoverageValue enumerated = expected_coverage_enumerate(f.model, f.nodes);
+    const CoverageValue exact = oracle::expected_coverage_exact(f.model, f.nodes);
+    const CoverageValue enumerated =
+        oracle::expected_coverage_enumerate(f.model, f.nodes);
     EXPECT_NEAR(exact.point, enumerated.point, 1e-9) << "trial " << trial;
     EXPECT_NEAR(exact.aspect, enumerated.aspect, 1e-9) << "trial " << trial;
   }
@@ -146,8 +147,9 @@ TEST(ExpectedCoverage, ExactMatchesEnumerationWithAspectProfiles) {
         f.give(n, photo_viewing(poi, rng.uniform(0.0, 360.0), rng.uniform(50.0, 150.0)));
       }
     }
-    const CoverageValue exact = expected_coverage_exact(f.model, f.nodes);
-    const CoverageValue enumerated = expected_coverage_enumerate(f.model, f.nodes);
+    const CoverageValue exact = oracle::expected_coverage_exact(f.model, f.nodes);
+    const CoverageValue enumerated =
+        oracle::expected_coverage_enumerate(f.model, f.nodes);
     EXPECT_NEAR(exact.point, enumerated.point, 1e-9) << "trial " << trial;
     EXPECT_NEAR(exact.aspect, enumerated.aspect, 1e-9) << "trial " << trial;
   }
@@ -160,23 +162,24 @@ TEST(ExpectedCoverage, MonteCarloConvergesToExact) {
   f.give(n1, photo_viewing(f.model.pois()[0], 90.0));
   auto& n2 = f.add_node(2, 0.3);
   f.give(n2, photo_viewing(f.model.pois()[0], 45.0));
-  const CoverageValue exact = expected_coverage_exact(f.model, f.nodes);
+  const CoverageValue exact = oracle::expected_coverage_exact(f.model, f.nodes);
   Rng rng(77);
-  const CoverageValue mc = expected_coverage_monte_carlo(f.model, f.nodes, rng, 20000);
+  const CoverageValue mc =
+      oracle::expected_coverage_monte_carlo(f.model, f.nodes, rng, 20000);
   EXPECT_NEAR(mc.point, exact.point, 0.02);
   EXPECT_NEAR(mc.aspect, exact.aspect, 0.05);
 }
 
 TEST(ExpectedCoverage, EmptyNodeSetIsZero) {
   Fixture f(test::single_poi_model());
-  EXPECT_TRUE(expected_coverage_exact(f.model, f.nodes).is_zero());
-  EXPECT_TRUE(expected_coverage_enumerate(f.model, f.nodes).is_zero());
+  EXPECT_TRUE(oracle::expected_coverage_exact(f.model, f.nodes).is_zero());
+  EXPECT_TRUE(oracle::expected_coverage_enumerate(f.model, f.nodes).is_zero());
 }
 
 TEST(ExpectedCoverage, EnumerationRejectsLargeSets) {
   Fixture f(test::single_poi_model());
   for (int i = 0; i < 21; ++i) f.add_node(static_cast<NodeId>(i), 0.5);
-  EXPECT_THROW(expected_coverage_enumerate(f.model, f.nodes), std::logic_error);
+  EXPECT_THROW(oracle::expected_coverage_enumerate(f.model, f.nodes), std::logic_error);
 }
 
 TEST(ExpectedCoverage, MonotoneInDeliveryProbability) {
@@ -188,8 +191,8 @@ TEST(ExpectedCoverage, MonotoneInDeliveryProbability) {
     Fixture hi(test::single_poi_model(30.0));
     auto& nh = hi.add_node(1, std::min(1.0, p + 0.05));
     hi.give(nh, photo_viewing(hi.model.pois()[0], 0.0));
-    EXPECT_LT(expected_coverage_exact(lo.model, lo.nodes).aspect,
-              expected_coverage_exact(hi.model, hi.nodes).aspect);
+    EXPECT_LT(oracle::expected_coverage_exact(lo.model, lo.nodes).aspect,
+              oracle::expected_coverage_exact(hi.model, hi.nodes).aspect);
   }
 }
 

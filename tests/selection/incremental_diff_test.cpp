@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "geometry/angle.h"
+#include "oracles/expected_coverage.h"
 #include "oracles/plain_greedy.h"
-#include "selection/expected_coverage.h"
 #include "selection/greedy_selector.h"
 #include "selection/selection_env.h"
 #include "test_util.h"
@@ -102,10 +102,11 @@ TEST(IncrementalDiff, EngineMatchesExactAndEnumerateOnRandomInstances) {
   for (int seed = 0; seed < 1000; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) + 1);
     const Instance inst = random_instance(rng, /*max_pois=*/16, /*max_nodes=*/10);
-    const CoverageValue exact = expected_coverage_exact(inst.model, inst.nodes);
-    const CoverageValue enumerated = expected_coverage_enumerate(inst.model, inst.nodes);
+    const CoverageValue exact = oracle::expected_coverage_exact(inst.model, inst.nodes);
+    const CoverageValue enumerated =
+        oracle::expected_coverage_enumerate(inst.model, inst.nodes);
     const CoverageValue incremental =
-        expected_coverage_incremental(inst.model, inst.nodes);
+        oracle::expected_coverage_incremental(inst.model, inst.nodes);
     expect_close(exact, enumerated, "exact vs enumerate", seed);
     expect_close(incremental, enumerated, "incremental vs enumerate", seed);
     expect_close(incremental, exact, "incremental vs exact", seed);
@@ -166,9 +167,9 @@ TEST(IncrementalDiff, ChurnedEngineMatchesCleanEvaluators) {
     ASSERT_NO_THROW(env.audit());
 
     const CoverageValue churned = env.total();
-    expect_close(churned, expected_coverage_exact(inst.model, inst.nodes),
+    expect_close(churned, oracle::expected_coverage_exact(inst.model, inst.nodes),
                  "churned engine vs exact", seed);
-    expect_close(churned, expected_coverage_enumerate(inst.model, inst.nodes),
+    expect_close(churned, oracle::expected_coverage_enumerate(inst.model, inst.nodes),
                  "churned engine vs enumerate", seed);
   }
 }

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "geometry/angle.h"
-#include "selection/expected_coverage.h"
+#include "oracles/expected_coverage.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -113,7 +113,7 @@ TEST(SelectionEnv, GainPlusCommitTracksExpectedCoverageDelta) {
     std::vector<NodeCollection> oracle_nodes = f.others;
     oracle_nodes.push_back(NodeCollection{1, p_self, {}});
     std::vector<std::unique_ptr<PhotoFootprint>> own_fps;
-    CoverageValue prev = expected_coverage_exact(f.model, oracle_nodes);
+    CoverageValue prev = oracle::expected_coverage_exact(f.model, oracle_nodes);
     for (int k = 0; k < 4; ++k) {
       const auto& poi = pois[static_cast<std::size_t>(rng.uniform_int(0, 2))];
       own_fps.push_back(std::make_unique<PhotoFootprint>(
@@ -121,7 +121,7 @@ TEST(SelectionEnv, GainPlusCommitTracksExpectedCoverageDelta) {
       const CoverageValue g = phase.gain(*own_fps.back());
       phase.commit(*own_fps.back());
       oracle_nodes.back().footprints.push_back(own_fps.back().get());
-      const CoverageValue now = expected_coverage_exact(f.model, oracle_nodes);
+      const CoverageValue now = oracle::expected_coverage_exact(f.model, oracle_nodes);
       EXPECT_NEAR(g.point, now.point - prev.point, 1e-9) << trial << "," << k;
       EXPECT_NEAR(g.aspect, now.aspect - prev.aspect, 1e-9) << trial << "," << k;
       prev = now;
@@ -152,18 +152,18 @@ TEST(SelectionEnv, GainTracksExpectedCoverageDeltaWithProfiles) {
 
     SelectionEnvironment env(f.model, f.others);
     GreedyPhase phase(env, p_self);
-    std::vector<NodeCollection> oracle = f.others;
-    oracle.push_back(NodeCollection{1, p_self, {}});
+    std::vector<NodeCollection> oracle_nodes = f.others;
+    oracle_nodes.push_back(NodeCollection{1, p_self, {}});
     std::vector<std::unique_ptr<PhotoFootprint>> own;
-    CoverageValue prev = expected_coverage_exact(f.model, oracle);
+    CoverageValue prev = oracle::expected_coverage_exact(f.model, oracle_nodes);
     for (int k = 0; k < 3; ++k) {
       const auto& poi = pois[static_cast<std::size_t>(rng.uniform_int(0, 1))];
       own.push_back(std::make_unique<PhotoFootprint>(
           f.model.footprint(photo_viewing(poi, rng.uniform(0.0, 360.0)))));
       const CoverageValue g = phase.gain(*own.back());
       phase.commit(*own.back());
-      oracle.back().footprints.push_back(own.back().get());
-      const CoverageValue now = expected_coverage_exact(f.model, oracle);
+      oracle_nodes.back().footprints.push_back(own.back().get());
+      const CoverageValue now = oracle::expected_coverage_exact(f.model, oracle_nodes);
       EXPECT_NEAR(g.point, now.point - prev.point, 1e-9) << trial << "," << k;
       EXPECT_NEAR(g.aspect, now.aspect - prev.aspect, 1e-9) << trial << "," << k;
       prev = now;

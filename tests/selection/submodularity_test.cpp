@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "geometry/angle.h"
-#include "selection/expected_coverage.h"
 #include "selection/selection_env.h"
 #include "test_util.h"
 #include "util/rng.h"

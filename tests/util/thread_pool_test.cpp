@@ -1,13 +1,16 @@
-// Tests for the deterministic shared thread pool: chunk coverage (each
-// chunk exactly once), inline edge cases, nesting, exception propagation,
-// and the per-slot write contract that the experiment layer's seed fan-out
-// builds its bit-identity on.
+// Tests for the deterministic fork-join pool: chunk coverage (each chunk
+// exactly once), inline edge cases, nesting, exception propagation (lowest
+// failed chunk wins, the others still run), and the per-slot write contract
+// that the experiment layer's seed fan-out builds its bit-identity on.
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace photodtn {
@@ -66,6 +69,46 @@ TEST(ThreadPool, FirstChunkExceptionPropagatesAndPoolSurvives) {
   std::atomic<int> hits{0};
   pool.parallel_chunks(16, [&](std::size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 16);
+}
+
+TEST(ThreadPool, LowestIndexExceptionIsRethrown) {
+  // Chunk 3 stalls before throwing, so with helpers chunk 11 usually fails
+  // first in wall time; the rethrown exception must still be chunk 3's.
+  auto boom = [](std::size_t c) {
+    if (c == 3) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      throw std::runtime_error("chunk 3 failed");
+    }
+    if (c == 11) throw std::runtime_error("chunk 11 failed");
+  };
+  for (std::size_t conc : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    ThreadPool pool(conc);
+    for (int rep = 0; rep < 50; ++rep) {
+      try {
+        pool.parallel_chunks(16, boom);
+        ADD_FAILURE() << "no exception, conc " << conc;
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), "chunk 3 failed")
+            << "conc " << conc << " rep " << rep;
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, ThrowingChunkDoesNotStopTheOthers) {
+  for (std::size_t conc : {std::size_t{2}, std::size_t{4}}) {
+    ThreadPool pool(conc);
+    std::vector<int> slots(32, 0);
+    EXPECT_THROW(pool.parallel_chunks(slots.size(),
+                                      [&](std::size_t c) {
+                                        if (c == 5) throw std::runtime_error("chunk 5");
+                                        slots[c] = static_cast<int>(c) + 1;
+                                      }),
+                 std::runtime_error);
+    for (std::size_t c = 0; c < slots.size(); ++c)
+      EXPECT_EQ(slots[c], c == 5 ? 0 : static_cast<int>(c) + 1)
+          << "chunk " << c << " conc " << conc;
+  }
 }
 
 TEST(ThreadPool, PerSlotWritesAreIdenticalAcrossPoolSizes) {
