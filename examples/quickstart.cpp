@@ -9,6 +9,7 @@
 //
 // Build & run:  ./quickstart
 #include <cstdio>
+#include <memory>
 
 #include "core/photocrowd.h"
 #include "geometry/angle.h"
@@ -80,7 +81,8 @@ int main() {
   // ---- 5. Acknowledgments: once the center has a view, it stops mattering.
   MetadataEntry ack;
   ack.owner = kCommandCenter;
-  ack.photos = {photos[0]};
+  // The center's snapshot: built once, shared by whoever caches it.
+  ack.snapshot = std::make_shared<const MetadataSnapshot>(std::vector<PhotoMeta>{photos[0]});
   ack.observed_at = 120.0;
   alice.learn_metadata(ack);
   const std::vector<PhotoId> keep2 = alice.select_storage(photos, 0.6, 130.0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "geometry/angle.h"
 #include "util/check.h"
@@ -148,16 +149,20 @@ double ArcSet::gain(Arc arc) const noexcept {
 
 std::vector<double> ArcSet::boundaries() const {
   std::vector<double> out;
-  out.reserve(intervals_.size() * 2);
+  append_boundaries(out);
+  return out;
+}
+
+void ArcSet::append_boundaries(std::vector<double>& out) const {
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
   for (const auto& [s, e] : intervals_) {
     out.push_back(normalize_angle(s));
     out.push_back(e >= kTwoPi - kEps ? 0.0 : normalize_angle(e));
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end(),
+  std::sort(out.begin() + first, out.end());
+  out.erase(std::unique(out.begin() + first, out.end(),
                         [](double a, double b) { return std::fabs(a - b) <= kEps; }),
             out.end());
-  return out;
 }
 
 bool ArcSet::full() const noexcept { return measure() >= kTwoPi - 1e-9; }

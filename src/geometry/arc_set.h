@@ -54,6 +54,10 @@ class ArcSet {
   /// deduplicated. Used by the expected-coverage breakpoint integration.
   std::vector<double> boundaries() const;
 
+  /// Appends exactly the sequence boundaries() returns to `out`, leaving the
+  /// existing prefix untouched (no allocation when `out` has capacity).
+  void append_boundaries(std::vector<double>& out) const;
+
   bool empty() const noexcept { return intervals_.empty(); }
   /// True when the whole circle is covered.
   bool full() const noexcept;

@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -218,8 +219,8 @@ struct StateAccess {
       w.f64(e.lambda);
       w.f64(e.delivery_prob);
       w.u64(e.revision);
-      w.u64(e.photos.size());
-      for (const PhotoMeta& m : e.photos) save(w, m);
+      w.u64(e.photos().size());
+      for (const PhotoMeta& m : e.photos()) save(w, m);
     }
   }
   static void load(StateReader& r, MetadataCache& c) {
@@ -234,13 +235,17 @@ struct StateAccess {
       e.lambda = r.f64();
       e.delivery_prob = r.f64();
       e.revision = r.u64();
-      const std::size_t photos = r.count(8);
-      e.photos.reserve(photos);
-      for (std::size_t k = 0; k < photos; ++k) {
+      const std::size_t count = r.count(8);
+      std::vector<PhotoMeta> photos;
+      photos.reserve(count);
+      for (std::size_t k = 0; k < count; ++k) {
         PhotoMeta m;
         load(r, m);
-        e.photos.push_back(m);
+        photos.push_back(m);
       }
+      // Each restored entry owns its snapshot: holders that shared one
+      // before the checkpoint hold equal copies after it.
+      e.snapshot = std::make_shared<const MetadataSnapshot>(std::move(photos));
       if (c.entries_.count(e.owner) != 0) r.fail("duplicate metadata-cache owner");
       c.entries_[e.owner] = std::move(e);
     }

@@ -1,6 +1,7 @@
 #include "schemes/our_scheme.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <unordered_set>
 
@@ -138,7 +139,7 @@ MetadataEntry OurScheme::snapshot(SimContext& ctx, NodeId node, double now) cons
   Node& n = ctx.node(node);
   MetadataEntry e;
   e.owner = node;
-  e.photos = sorted_photos(n.store());
+  e.snapshot = std::make_shared<const MetadataSnapshot>(sorted_photos(n.store()));
   e.observed_at = now;
   e.lambda = n.rates().aggregate_rate(now);
   e.delivery_prob = n.delivery_prob(now);
@@ -232,17 +233,15 @@ SelectionEnvironment& OurScheme::sync_engine(SimContext& ctx, NodeId viewer,
             [](const MetadataEntry* x, const MetadataEntry* y) {
               return x->owner < y->owner;
             });
+  // Each snapshot's per-PoI arc union is computed once, by the first engine
+  // that loads it, and copied into every later viewer's cover lists.
   std::uint64_t loads = 0;
   for (const MetadataEntry* e : fresh) {
-    NodeCollection nc;
-    nc.node = e->owner;
-    nc.delivery_prob = e->owner == kCommandCenter ? 1.0 : e->delivery_prob;
-    for (const PhotoMeta& p : e->photos) {
-      const PhotoFootprint& fp = ctx.model().footprint_cached(p);
-      if (fp.relevant()) nc.footprints.push_back(&fp);
-    }
-    if (nc.footprints.empty() || nc.delivery_prob <= 0.0) continue;
-    st.env.add_collection(nc);
+    const double p = e->owner == kCommandCenter ? 1.0 : e->delivery_prob;
+    if (p <= 0.0) continue;
+    const PoiArcUnion& arcs = e->snapshot->arc_union(st.env);
+    if (arcs.empty()) continue;  // no relevant photo
+    st.env.add_union(e->owner, p, arcs);
     st.loaded_revs.emplace(e->owner, e->revision);
     ++loads;
   }
@@ -268,7 +267,7 @@ void OurScheme::on_contact(SimContext& ctx, ContactSession& session) {
       for (const NodeId n : {session.a(), session.b()})
         // photodtn-lint: allow(unordered-iter): commutative integer sum
         for (const auto& [owner, entry] : cache(n).entries())
-          records += entry.photos.size();
+          records += entry.photos().size();
       if (per_photo > 0) session.consume(records * per_photo);
       if (hooks_.obs != nullptr) {
         obs::MetricsRegistry& reg = hooks_.obs->registry();

@@ -8,8 +8,26 @@
 
 namespace photodtn {
 
+const PoiArcUnion& MetadataSnapshot::arc_union(SelectionEnvironment& env) const {
+  const CoverageModel& model = env.model();
+  if (union_model_ == nullptr) {
+    std::vector<const PhotoFootprint*> footprints;
+    footprints.reserve(photos_.size());
+    for (const PhotoMeta& p : photos_) {
+      const PhotoFootprint& fp = model.footprint_cached(p);
+      if (fp.relevant()) footprints.push_back(&fp);
+    }
+    union_ = env.unite(footprints);
+    union_model_ = &model;
+  }
+  PHOTODTN_CHECK_MSG(union_model_ == &model,
+                     "a snapshot's arc union serves one coverage model");
+  return union_;
+}
+
 bool MetadataCache::update(MetadataEntry entry) {
   PHOTODTN_CHECK_MSG(entry.owner >= 0, "metadata entry needs an owner");
+  PHOTODTN_CHECK_MSG(entry.snapshot != nullptr, "metadata entry needs a snapshot");
   PHOTODTN_DCHECK_MSG(entry.lambda >= 0.0 && std::isfinite(entry.lambda),
                       "metadata entry lambda must be finite and non-negative");
   PHOTODTN_DCHECK_MSG(is_probability(entry.delivery_prob),
@@ -90,6 +108,7 @@ void MetadataCache::audit() const {
     PHOTODTN_CHECK_MSG(owner == entry.owner,
                        "MetadataCache entry keyed by a different owner");
     PHOTODTN_CHECK_MSG(entry.owner >= 0, "MetadataCache entry owner must be valid");
+    PHOTODTN_CHECK_MSG(entry.snapshot != nullptr, "MetadataCache entry needs a snapshot");
     PHOTODTN_CHECK_MSG(std::isfinite(entry.lambda) && entry.lambda >= 0.0,
                        "MetadataCache entry lambda must be finite and >= 0");
     PHOTODTN_CHECK_MSG(is_probability(entry.delivery_prob),

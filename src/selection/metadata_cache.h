@@ -10,18 +10,49 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "coverage/photo.h"
 #include "persist/fwd.h"
+#include "selection/selection_env.h"
 
 namespace photodtn {
 
+/// One node's photo-collection metadata as observed at one instant. Built
+/// once and shared immutably: every cache holding the observation (and every
+/// gossip hop that forwards it) copies the pointer, never the photos.
+///
+/// The per-PoI arc union a selection engine loads from the photos is
+/// memoized on first use, so the viewers that load one snapshot share one
+/// union instead of each redoing it. The memo is the only mutable part; a
+/// simulation run is single-threaded and owns its snapshots, so it takes no
+/// lock.
+class MetadataSnapshot {
+ public:
+  explicit MetadataSnapshot(std::vector<PhotoMeta> photos) : photos_(std::move(photos)) {}
+
+  const std::vector<PhotoMeta>& photos() const noexcept { return photos_; }
+
+  /// The union of the relevant footprints' arcs under `env`'s model, in
+  /// photo order: env.unite() of exactly the footprints add_collection
+  /// would load. Computed on the first call and reused by later ones, which
+  /// must come from environments over the same model.
+  const PoiArcUnion& arc_union(SelectionEnvironment& env) const;
+
+ private:
+  std::vector<PhotoMeta> photos_;
+  mutable const CoverageModel* union_model_ = nullptr;  // null until memoized
+  mutable PoiArcUnion union_;
+};
+
 struct MetadataEntry {
   NodeId owner = -1;
-  /// Snapshot of the owner's photo collection metadata.
-  std::vector<PhotoMeta> photos;
+  /// The owner's photo collection metadata, shared with every other cache
+  /// that holds this observation. Required by MetadataCache::update.
+  std::shared_ptr<const MetadataSnapshot> snapshot;
   /// When the owner was last *directly* observed (by whoever produced the
   /// snapshot). Gossip forwards this original timestamp unchanged.
   double observed_at = 0.0;
@@ -37,6 +68,8 @@ struct MetadataEntry {
   /// owner's collection went stale, without diffing photo lists. Not carried
   /// by gossip — each cache restamps on acceptance.
   std::uint64_t revision = 0;
+
+  const std::vector<PhotoMeta>& photos() const noexcept { return snapshot->photos(); }
 };
 
 class MetadataCache {
@@ -47,7 +80,8 @@ class MetadataCache {
   double p_thld() const noexcept { return p_thld_; }
 
   /// Inserts/replaces the entry for `entry.owner` if it is fresher than the
-  /// currently cached one. Returns true if the cache changed.
+  /// currently cached one, sharing its snapshot. Returns true if the cache
+  /// changed.
   bool update(MetadataEntry entry);
 
   /// Probability that the owner has met another node within `elapsed`
@@ -75,7 +109,8 @@ class MetadataCache {
   /// crashed node's own cache dies with its flash.)
   void clear();
 
-  /// Gossip: absorbs every entry of `other` that is fresher than ours.
+  /// Gossip: absorbs every entry of `other` that is fresher than ours,
+  /// pointing at the same snapshot and restamping the revision.
   /// `self` is excluded — a node is the authority on its own collection.
   /// Returns how many entries were accepted (fresher than the cached copy).
   std::size_t merge_from(const MetadataCache& other, NodeId self);
@@ -86,7 +121,7 @@ class MetadataCache {
   }
 
   /// Deep invariant check (audit builds / tests): every entry is keyed by its
-  /// own owner id, owners are valid (>= 0), inter-contact rates satisfy
+  /// own owner id and carries a snapshot, owners are valid (>= 0), inter-contact rates satisfy
   /// lambda >= 0 and are finite, delivery probabilities lie in [0, 1],
   /// observation timestamps are finite and non-negative (update() only ever
   /// replaces an entry with a fresher one, so observed_at is monotone per

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "geometry/angle.h"
 #include "util/check.h"
@@ -14,39 +15,46 @@ namespace photodtn {
 PiecewiseMiss PiecewiseMiss::build(
     std::span<const std::pair<double, const ArcSet*>> covers,
     const AspectProfile* profile) {
-  const bool weighted = profile != nullptr && !profile->is_uniform();
   PiecewiseMiss out;
-  std::vector<double> cuts;
-  for (const auto& [p, arcs] : covers)
-    for (const double b : arcs->boundaries()) cuts.push_back(b);
-  if (weighted)
-    for (const double b : profile->breakpoints()) cuts.push_back(b);
+  std::vector<SweepEvent> events;
+  out.rebuild(covers, profile, events);
+  return out;
+}
 
-  if (cuts.empty()) {
+void PiecewiseMiss::rebuild(std::span<const std::pair<double, const ArcSet*>> covers,
+                            const AspectProfile* profile,
+                            std::vector<SweepEvent>& events) {
+  const bool weighted = profile != nullptr && !profile->is_uniform();
+  cuts_.clear();
+  vals_.clear();
+  weights_.clear();
+  rates_.clear();
+  prefix_.clear();
+  lut_.clear();
+  lut_scale_ = 0.0;
+  constant_ = 1.0;
+  for (const auto& [p, arcs] : covers) arcs->append_boundaries(cuts_);
+  if (weighted)
+    for (const double b : profile->breakpoints()) cuts_.push_back(b);
+
+  if (cuts_.empty()) {
     // Either nothing covers this PoI (constant 1) or some set is the full
     // circle (constant product); the profile is uniform here, since a
     // non-uniform one always contributes breakpoints.
-    double miss = 1.0;
     for (const auto& [p, arcs] : covers)
-      if (arcs->full()) miss *= 1.0 - p;
-    out.constant_ = miss;
-    return out;
+      if (arcs->full()) constant_ *= 1.0 - p;
+    return;
   }
 
-  cuts.push_back(0.0);
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  cuts_.push_back(0.0);
+  std::sort(cuts_.begin(), cuts_.end());
+  cuts_.erase(std::unique(cuts_.begin(), cuts_.end()), cuts_.end());
 
   // Sweep the circle once: each cover interval opens at its start and
   // closes at its end; the running product of active (1 - p) factors is the
   // segment value. A zero factor (p = 1, the command center) is tracked as
   // a count so closing it never divides by zero.
-  struct Event {
-    double angle;
-    double factor;
-    bool open;
-  };
-  std::vector<Event> events;
+  events.clear();
   for (const auto& [p, arcs] : covers) {
     const double f = 1.0 - p;
     for (const auto& [s, e] : arcs->intervals()) {
@@ -55,22 +63,21 @@ PiecewiseMiss PiecewiseMiss::build(
     }
   }
   std::sort(events.begin(), events.end(),
-            [](const Event& x, const Event& y) { return x.angle < y.angle; });
+            [](const SweepEvent& x, const SweepEvent& y) { return x.angle < y.angle; });
 
-  const std::size_t n = cuts.size();
-  out.cuts_ = std::move(cuts);
-  out.vals_.resize(n);
-  if (weighted) out.weights_.resize(n);
+  const std::size_t n = cuts_.size();
+  vals_.resize(n);
+  if (weighted) weights_.resize(n);
   double product = 1.0;
   int zeros = 0;
   std::size_t next_event = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    const double lo = out.cuts_[k];
+    const double lo = cuts_[k];
     // Interval endpoints are a subset of the cuts (up to the boundary
     // dedup epsilon, whose slivers the old midpoint sampling misclassified
     // the same way); apply everything up to and including this cut.
     while (next_event < events.size() && events[next_event].angle <= lo) {
-      const Event& ev = events[next_event++];
+      const SweepEvent& ev = events[next_event++];
       if (ev.factor == 0.0) {
         zeros += ev.open ? 1 : -1;
       } else if (ev.open) {
@@ -79,24 +86,24 @@ PiecewiseMiss PiecewiseMiss::build(
         product /= ev.factor;
       }
     }
-    out.vals_[k] = zeros > 0 ? 0.0 : product;
+    vals_[k] = zeros > 0 ? 0.0 : product;
     if (weighted) {
-      const double hi = (k + 1 < n) ? out.cuts_[k + 1] : kTwoPi;
-      out.weights_[k] = profile->weight_at(normalize_angle(lo + (hi - lo) / 2.0));
+      const double hi = (k + 1 < n) ? cuts_[k + 1] : kTwoPi;
+      weights_[k] = profile->weight_at(normalize_angle(lo + (hi - lo) / 2.0));
     }
   }
 
   // Fused rate array: rate(k) on the integration hot path reads one dense
   // double instead of re-multiplying value by weight per probe.
-  out.rates_.resize(n);
+  rates_.resize(n);
   for (std::size_t k = 0; k < n; ++k)
-    out.rates_[k] = out.vals_[k] * (weighted ? out.weights_[k] : 1.0);
+    rates_[k] = vals_[k] * (weighted ? weights_[k] : 1.0);
 
-  out.prefix_.resize(n + 1);
-  out.prefix_[0] = 0.0;
+  prefix_.resize(n + 1);
+  prefix_[0] = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    const double hi = (k + 1 < n) ? out.cuts_[k + 1] : kTwoPi;
-    out.prefix_[k + 1] = out.prefix_[k] + out.rate(k) * (hi - out.cuts_[k]);
+    const double hi = (k + 1 < n) ? cuts_[k + 1] : kTwoPi;
+    prefix_[k + 1] = prefix_[k] + rate(k) * (hi - cuts_[k]);
   }
 
   // Bucketized segment finder. lut_[b] is the highest segment whose cut
@@ -112,17 +119,15 @@ PiecewiseMiss PiecewiseMiss::build(
   // ones often zero times.)
   if (n >= kLutMinSegments) {
     const std::size_t buckets = std::min<std::size_t>(4096, 2 * n);
-    out.lut_scale_ = static_cast<double>(buckets) / kTwoPi;
-    out.lut_.resize(buckets);
+    lut_scale_ = static_cast<double>(buckets) / kTwoPi;
+    lut_.resize(buckets);
     std::size_t seg = 0;
     for (std::size_t b = 0; b < buckets; ++b) {
-      while (seg + 1 < n &&
-             static_cast<std::size_t>(out.cuts_[seg + 1] * out.lut_scale_) < b)
+      while (seg + 1 < n && static_cast<std::size_t>(cuts_[seg + 1] * lut_scale_) < b)
         ++seg;
-      out.lut_[b] = static_cast<std::uint32_t>(seg);
+      lut_[b] = static_cast<std::uint32_t>(seg);
     }
   }
-  return out;
 }
 
 std::size_t PiecewiseMiss::segment_of(double a) const noexcept {
@@ -278,36 +283,46 @@ SelectionEnvironment::SelectionEnvironment(const CoverageModel& model,
 }
 
 void SelectionEnvironment::add_collection(const NodeCollection& collection) {
-  PHOTODTN_CHECK_MSG(!loaded_.contains(collection.node),
+  push_covers(collection.node, collection.delivery_prob, unite(collection.footprints));
+}
+
+void SelectionEnvironment::add_union(NodeId node, double delivery_prob,
+                                     const PoiArcUnion& arcs) {
+  push_covers(node, delivery_prob, arcs);
+}
+
+void SelectionEnvironment::push_covers(NodeId node, double delivery_prob,
+                                       PoiArcUnion arcs) {
+  PHOTODTN_CHECK_MSG(!loaded_.contains(node),
                      "environment already holds this node's collection");
-  PHOTODTN_CHECK_MSG(is_probability(collection.delivery_prob),
+  PHOTODTN_CHECK_MSG(is_probability(delivery_prob),
                      "collection delivery probability must be in [0, 1]");
-  Loaded& entry = loaded_[collection.node];
-  entry.delivery_prob = collection.delivery_prob;
-  // One cover entry per touched PoI, holding the collection's arcs there.
-  entry.touched = union_by_poi(collection.footprints);
-  for (const std::size_t poi : entry.touched) {
-    covers_[poi].push_back(NodePoiCover{collection.node, collection.delivery_prob,
-                                        std::move(arc_scratch_[poi])});
+  PHOTODTN_CHECK_MSG(arcs.arcs.size() == arcs.pois.size() &&
+                         (arcs.empty() || arcs.pois.back() < covers_.size()),
+                     "arc union does not fit this environment's PoIs");
+  for (std::size_t i = 0; i < arcs.pois.size(); ++i) {
+    const std::size_t poi = arcs.pois[i];
+    covers_[poi].push_back(NodePoiCover{node, delivery_prob, std::move(arcs.arcs[i])});
     dirty_[poi] = 1;
   }
+  Loaded& entry = loaded_[node];
+  entry.delivery_prob = delivery_prob;
+  entry.touched = std::move(arcs.pois);
 }
 
 void SelectionEnvironment::extend_collection(
     NodeId node, double delivery_prob, std::span<const PhotoFootprint* const> extra) {
   const auto it = loaded_.find(node);
   if (it == loaded_.end()) {
-    NodeCollection nc;
-    nc.node = node;
-    nc.delivery_prob = delivery_prob;
-    nc.footprints.assign(extra.begin(), extra.end());
-    add_collection(nc);
+    push_covers(node, delivery_prob, unite(extra));
     return;
   }
   PHOTODTN_CHECK_MSG(it->second.delivery_prob == delivery_prob,
                      "extend_collection must keep the delivery probability");
-  for (const std::size_t poi : union_by_poi(extra)) {
-    ArcSet& arcs = arc_scratch_[poi];
+  PoiArcUnion added = unite(extra);
+  for (std::size_t i = 0; i < added.pois.size(); ++i) {
+    const std::size_t poi = added.pois[i];
+    ArcSet& arcs = added.arcs[i];
     std::vector<NodePoiCover>& covers = covers_[poi];
     auto cover = std::find_if(covers.begin(), covers.end(),
                               [&](const NodePoiCover& c) { return c.node == node; });
@@ -327,25 +342,26 @@ void SelectionEnvironment::extend_collection(
   }
 }
 
-const std::vector<std::size_t>& SelectionEnvironment::union_by_poi(
+PoiArcUnion SelectionEnvironment::unite(
     std::span<const PhotoFootprint* const> footprints) {
-  for (const std::size_t poi : touched_scratch_) {
-    arc_scratch_[poi] = ArcSet{};
-    seen_scratch_[poi] = 0;
-  }
-  touched_scratch_.clear();
+  PoiArcUnion out;
   for (const PhotoFootprint* fp : footprints) {
     for (const PoiArc& pa : fp->arcs) {
       if (!seen_scratch_[pa.poi_index]) {
         seen_scratch_[pa.poi_index] = 1;
-        touched_scratch_.push_back(pa.poi_index);
+        out.pois.push_back(pa.poi_index);
       }
       arc_scratch_[pa.poi_index].add(pa.arc);
     }
   }
   // Ascending PoI order keeps audits and rebuild sweeps reproducible.
-  std::sort(touched_scratch_.begin(), touched_scratch_.end());
-  return touched_scratch_;
+  std::sort(out.pois.begin(), out.pois.end());
+  out.arcs.reserve(out.pois.size());
+  for (const std::size_t poi : out.pois) {
+    out.arcs.push_back(std::exchange(arc_scratch_[poi], ArcSet{}));
+    seen_scratch_[poi] = 0;
+  }
+  return out;
 }
 
 bool SelectionEnvironment::remove_collection(NodeId node) {
@@ -367,14 +383,13 @@ bool SelectionEnvironment::remove_collection(NodeId node) {
 void SelectionEnvironment::refresh(std::size_t poi) const {
   ++rebuilds_;
   double miss = 1.0;
-  std::vector<std::pair<double, const ArcSet*>> covers;
-  covers.reserve(covers_[poi].size());
+  cover_scratch_.clear();
   for (const NodePoiCover& c : covers_[poi]) {
     miss *= 1.0 - c.p;
-    covers.push_back({c.p, &c.arcs});
+    cover_scratch_.push_back({c.p, &c.arcs});
   }
   pt_miss_[poi] = miss;
-  miss_[poi] = PiecewiseMiss::build(covers, model_->pois()[poi].profile());
+  miss_[poi].rebuild(cover_scratch_, model_->pois()[poi].profile(), event_scratch_);
   dirty_[poi] = 0;
   PHOTODTN_AUDIT(miss_[poi].audit());
 }

@@ -58,6 +58,16 @@ struct NodePoiCover {
   ArcSet arcs;
 };
 
+/// One collection's arcs united per PoI: the touched PoIs in ascending order
+/// and one ArcSet each (arcs[i] lies on pois[i]). Empty exactly when no
+/// footprint of the collection is relevant.
+struct PoiArcUnion {
+  std::vector<std::size_t> pois;
+  std::vector<ArcSet> arcs;
+
+  bool empty() const noexcept { return pois.empty(); }
+};
+
 /// Piecewise-constant product-of-misses on the aspect circle of one PoI,
 /// with prefix-sum integrals of env(v) * weight(v) for O(log B) range
 /// integration. When built with a non-uniform AspectProfile, the profile's
@@ -68,11 +78,23 @@ class PiecewiseMiss {
   /// Constant 1 (no other node covers this PoI, uniform weight).
   PiecewiseMiss() = default;
 
+  /// One cover interval opening or closing during the build's sweep.
+  struct SweepEvent {
+    double angle;
+    double factor;
+    bool open;
+  };
+
   /// Builds from the covering nodes' arc sets and delivery probabilities.
   /// `profile` (optional) bakes the PoI's aspect weighting into the
   /// integrals; a null or uniform profile means weight 1 everywhere.
   static PiecewiseMiss build(std::span<const std::pair<double, const ArcSet*>> covers,
                              const AspectProfile* profile = nullptr);
+
+  /// build() into this object, reusing its arrays' capacity; `events` is
+  /// caller-owned sweep scratch. The result is bitwise what build() returns.
+  void rebuild(std::span<const std::pair<double, const ArcSet*>> covers,
+               const AspectProfile* profile, std::vector<SweepEvent>& events);
 
   /// env value at an angle (unweighted miss product).
   double value_at(double angle) const noexcept;
@@ -150,6 +172,18 @@ class SelectionEnvironment {
   /// exactly the PoIs the collection point-covers dirty.
   void add_collection(const NodeCollection& collection);
 
+  /// add_collection from a precomputed union of the collection's footprints
+  /// (unite()): bitwise the same cover entries, each owning a copy of its
+  /// arcs. Lets many environments load one shared, immutable union.
+  void add_union(NodeId node, double delivery_prob, const PoiArcUnion& arcs);
+
+  /// Unions the footprints' arcs per PoI, in list order, over this
+  /// environment's PoI-indexed scratch: the routine add_collection and
+  /// extend_collection load through. The result depends only on the
+  /// footprints, so it may be kept and loaded into any environment over the
+  /// same model.
+  PoiArcUnion unite(std::span<const PhotoFootprint* const> footprints);
+
   /// Adds photos to an existing collection (or adds the collection when the
   /// node is not loaded). Used when a collection grows in place — e.g. the
   /// command center receiving deliveries mid-contact. Only PoIs whose
@@ -203,11 +237,10 @@ class SelectionEnvironment {
   };
 
   void refresh(std::size_t poi) const;
-  /// Unions the footprints' arcs per PoI into arc_scratch_ and returns the
-  /// touched PoIs in ascending order. Callers may move out of
-  /// arc_scratch_[poi]; the next call resets it.
-  const std::vector<std::size_t>& union_by_poi(
-      std::span<const PhotoFootprint* const> footprints);
+  /// Registers `node` and appends one cover entry per PoI of `arcs`, in
+  /// ascending PoI order, marking each dirty. The one loading routine behind
+  /// add_collection, add_union and extend_collection's first load.
+  void push_covers(NodeId node, double delivery_prob, PoiArcUnion arcs);
 
   const CoverageModel* model_;
   // Per-PoI state as parallel arrays (structure-of-arrays): the hot queries
@@ -221,11 +254,13 @@ class SelectionEnvironment {
   mutable std::vector<char> dirty_;
   mutable std::uint64_t rebuilds_ = 0;
   std::unordered_map<NodeId, Loaded> loaded_;
-  // union_by_poi scratch, PoI-indexed; the previous call's entries are
-  // reset at the start of the next.
+  // unite() scratch, PoI-indexed; each call leaves it all-empty again.
   std::vector<ArcSet> arc_scratch_;
   std::vector<char> seen_scratch_;
-  std::vector<std::size_t> touched_scratch_;
+  // refresh() scratch, reused across rebuilds so a rebuild allocates only
+  // when a PoI's miss function outgrows every earlier one.
+  mutable std::vector<std::pair<double, const ArcSet*>> cover_scratch_;
+  mutable std::vector<PiecewiseMiss::SweepEvent> event_scratch_;
 };
 
 class GreedyPhase {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "test_util.h"
 
@@ -56,7 +58,7 @@ TEST(DeviceAgent, LearnedCenterMetadataActsAsAck) {
   const PhotoMeta view = photo_viewing(task.model().pois()[0], 0.0);
   MetadataEntry center;
   center.owner = kCommandCenter;
-  center.photos = {view};
+  center.snapshot = std::make_shared<const MetadataSnapshot>(std::vector<PhotoMeta>{view});
   center.observed_at = 10.0;
   agent.learn_metadata(center);
   // The same view is now worthless; a distinct view is still selected.
@@ -104,7 +106,8 @@ TEST(DeviceAgent, CacheValidityExpires) {
   e.observed_at = 0.0;
   e.lambda = 0.01;  // invalid after ~161 s
   e.delivery_prob = 0.9;
-  e.photos = {photo_viewing(task.model().pois()[0], 0.0)};
+  e.snapshot = std::make_shared<const MetadataSnapshot>(
+      std::vector<PhotoMeta>{photo_viewing(task.model().pois()[0], 0.0)});
   agent.learn_metadata(e);
   EXPECT_EQ(agent.cache().valid_entries(100.0).size(), 1u);
   EXPECT_TRUE(agent.cache().valid_entries(500.0).empty());

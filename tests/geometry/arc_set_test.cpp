@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "geometry/angle.h"
 #include "util/rng.h"
@@ -157,6 +158,31 @@ TEST(ArcSet, BoundariesSortedAndNormalized) {
     EXPECT_GE(v, 0.0);
     EXPECT_LT(v, kTwoPi);
   }
+}
+
+TEST(ArcSet, AppendBoundariesLeavesPrefixAndMatchesBoundaries) {
+  ArcSet wrapping;
+  wrapping.add({5.5, 1.5});  // wraps: one piece ends at 2*pi, whose end maps to 0
+  wrapping.add({2.0, 0.5});
+  ArcSet plain;
+  plain.add({0.5, 1.0});
+  plain.add({3.0, 0.25});
+  ArcSet to_two_pi;
+  to_two_pi.add({5.0, kTwoPi - 5.0});  // [5, 2*pi): its end maps to 0
+  // The prefix is deliberately unsorted and overlaps the appended values, so
+  // a sort or dedup that strayed outside the appended range would show.
+  const std::vector<double> prefix = {4.0, 0.0, 2.0, 2.0, 6.0};
+  for (const ArcSet* s : {&wrapping, &plain, &to_two_pi}) {
+    std::vector<double> out = prefix;
+    s->append_boundaries(out);
+    ASSERT_GE(out.size(), prefix.size());
+    EXPECT_EQ(std::vector<double>(out.begin(), out.begin() + 5), prefix);
+    EXPECT_EQ(std::vector<double>(out.begin() + 5, out.end()), s->boundaries());
+  }
+  EXPECT_EQ(to_two_pi.boundaries(), (std::vector<double>{0.0, 5.0}));
+  std::vector<double> none = prefix;
+  ArcSet{}.append_boundaries(none);
+  EXPECT_EQ(none, prefix);
 }
 
 TEST(ArcSet, ContainmentConsistentWithMeasureViaSampling) {

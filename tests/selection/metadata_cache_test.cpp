@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "test_util.h"
 #include "util/check.h"
@@ -19,7 +22,8 @@ MetadataEntry entry(NodeId owner, double observed_at, double lambda, double p = 
   e.observed_at = observed_at;
   e.lambda = lambda;
   e.delivery_prob = p;
-  e.photos = {test::make_photo(0, 0, 0)};
+  e.snapshot = std::make_shared<const MetadataSnapshot>(
+      std::vector<PhotoMeta>{test::make_photo(0, 0, 0)});
   return e;
 }
 
@@ -110,6 +114,60 @@ TEST(MetadataCache, EraseAndOwnerValidation) {
   MetadataEntry bad;
   bad.owner = -1;
   EXPECT_THROW(cache.update(bad), std::logic_error);
+}
+
+TEST(MetadataCacheSharing, FresherGossipSharesTheSendersSnapshot) {
+  MetadataCache sender(0.8), receiver(0.8);
+  receiver.update(entry(4, 10.0, 0.01));
+  const std::uint64_t old_revision = receiver.find(4)->revision;
+  sender.update(entry(4, 11.0, 0.01));  // run the sender's revision clock ahead
+  sender.update(entry(4, 12.0, 0.01));
+  sender.update(entry(4, 20.0, 0.01));
+  ASSERT_EQ(receiver.merge_from(sender, /*self=*/1), 1u);
+  const MetadataEntry& got = *receiver.find(4);
+  EXPECT_EQ(got.snapshot.get(), sender.find(4)->snapshot.get());  // pointer, not copy
+  EXPECT_EQ(got.revision, old_revision + 1);  // restamped by the receiver's clock
+  EXPECT_NE(got.revision, sender.find(4)->revision);
+  EXPECT_NO_THROW(receiver.audit());
+}
+
+TEST(MetadataCacheSharing, StaleOfferLeavesPointerAndRevision) {
+  MetadataCache sender(0.8), receiver(0.8);
+  receiver.update(entry(4, 30.0, 0.01));
+  const MetadataSnapshot* held = receiver.find(4)->snapshot.get();
+  const std::uint64_t revision = receiver.find(4)->revision;
+  sender.update(entry(4, 20.0, 0.01));
+  EXPECT_EQ(receiver.merge_from(sender, /*self=*/1), 0u);
+  EXPECT_EQ(receiver.find(4)->snapshot.get(), held);
+  EXPECT_EQ(receiver.find(4)->revision, revision);
+  EXPECT_FALSE(receiver.update(*sender.find(4)));
+  EXPECT_EQ(receiver.find(4)->snapshot.get(), held);
+  EXPECT_EQ(receiver.find(4)->revision, revision);
+}
+
+TEST(MetadataCacheSharing, ClearOrEraseKeepsOtherHoldersSnapshot) {
+  MetadataCache a(0.8), b(0.8), c(0.8);
+  a.update(entry(4, 10.0, 0.01));
+  b.merge_from(a, /*self=*/1);
+  c.merge_from(a, /*self=*/1);
+  const std::shared_ptr<const MetadataSnapshot> shared = a.find(4)->snapshot;
+  const std::vector<PhotoMeta> photos = shared->photos();
+  a.clear();
+  b.erase(4);
+  EXPECT_EQ(a.find(4), nullptr);
+  EXPECT_EQ(b.find(4), nullptr);
+  ASSERT_NE(c.find(4), nullptr);
+  EXPECT_EQ(c.find(4)->snapshot.get(), shared.get());
+  ASSERT_EQ(c.find(4)->photos().size(), photos.size());
+  EXPECT_EQ(c.find(4)->photos()[0].id, photos[0].id);
+  EXPECT_NO_THROW(c.audit());
+}
+
+TEST(MetadataCacheSharing, UpdateRequiresASnapshot) {
+  MetadataCache cache(0.8);
+  MetadataEntry e = entry(4, 10.0, 0.01);
+  e.snapshot.reset();
+  EXPECT_THROW(cache.update(std::move(e)), std::logic_error);
 }
 
 class PthldSweep : public ::testing::TestWithParam<double> {};

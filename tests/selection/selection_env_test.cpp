@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "geometry/angle.h"
+#include "selection/metadata_cache.h"
 #include "oracles/expected_coverage.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -181,6 +186,134 @@ TEST(SelectionEnv, PiecewiseMissValueAt) {
   EXPECT_NEAR(pm.value_at(deg_to_rad(31.0)), 1.0, 1e-12);
   EXPECT_NEAR(pm.value_at(deg_to_rad(180.0)), 1.0, 1e-12);
   EXPECT_NEAR(pm.value_at(deg_to_rad(331.0)), 0.4, 1e-12);
+}
+
+/// Equal bit for bit: EXPECT_EQ on doubles, no tolerance.
+void expect_same_pieces(const PiecewiseMiss& got, const PiecewiseMiss& want) {
+  EXPECT_EQ(got.segment_count(), want.segment_count());
+  EXPECT_EQ(got.full_integral(), want.full_integral());
+  for (int k = 0; k <= 720; ++k) {
+    const double a = kTwoPi * k / 720.0;
+    EXPECT_EQ(got.value_at(a), want.value_at(a)) << a;
+    EXPECT_EQ(got.integral(0.0, a), want.integral(0.0, a)) << a;
+    EXPECT_EQ(got.integral(a / 3.0, a), want.integral(a / 3.0, a)) << a;
+  }
+  EXPECT_NO_THROW(got.audit());
+}
+
+TEST(PiecewiseMissRebuild, InPlaceEqualsFreshBuildThroughEveryShape) {
+  // One object rebuilt dense (with LUT) -> constant -> sparse -> dense with
+  // a profile: each step must equal a fresh build() of the same covers,
+  // whatever the arrays held before.
+  Rng rng(4242);
+  auto random_sets = [&](int n, int arcs_each) {
+    std::vector<ArcSet> sets(static_cast<std::size_t>(n));
+    for (ArcSet& s : sets)
+      for (int i = 0; i < arcs_each; ++i)
+        s.add({rng.uniform(0.0, kTwoPi), rng.uniform(0.05, 0.4)});
+    return sets;
+  };
+  auto covers_of = [&](const std::vector<ArcSet>& sets) {
+    std::vector<std::pair<double, const ArcSet*>> covers;
+    for (const ArcSet& s : sets) covers.push_back({rng.uniform(0.05, 0.95), &s});
+    return covers;
+  };
+  const std::vector<ArcSet> dense = random_sets(12, 3);
+  const std::vector<ArcSet> sparse = random_sets(2, 1);
+  const std::vector<ArcSet> dense2 = random_sets(16, 2);
+  AspectProfile profile;
+  profile.set_band(Arc{1.0, 2.0}, 3.0);
+  struct Step {
+    std::vector<std::pair<double, const ArcSet*>> covers;
+    const AspectProfile* profile;
+  };
+  const std::vector<Step> steps = {
+      {covers_of(dense), nullptr},
+      {{}, nullptr},  // nothing covers the PoI: constant 1
+      {covers_of(sparse), nullptr},
+      {covers_of(dense2), &profile},
+  };
+  PiecewiseMiss pm;
+  std::vector<PiecewiseMiss::SweepEvent> events;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE(i);
+    pm.rebuild(steps[i].covers, steps[i].profile, events);
+    const PiecewiseMiss fresh = PiecewiseMiss::build(steps[i].covers, steps[i].profile);
+    expect_same_pieces(pm, fresh);
+  }
+  // The steps really do cover every shape.
+  EXPECT_GE(PiecewiseMiss::build(steps[0].covers).segment_count(), 32u);
+  EXPECT_EQ(PiecewiseMiss::build(steps[1].covers).segment_count(), 0u);
+  EXPECT_EQ(PiecewiseMiss::build(steps[1].covers).value_at(1.0), 1.0);
+  EXPECT_GT(PiecewiseMiss::build(steps[2].covers).segment_count(), 0u);
+  EXPECT_LT(PiecewiseMiss::build(steps[2].covers).segment_count(), 32u);
+  EXPECT_GE(PiecewiseMiss::build(steps[3].covers, &profile).segment_count(), 32u);
+}
+
+TEST(SelectionEnv, MemoizedUnionLoadsBitwiseLikeAddCollection) {
+  // A snapshot's memoized union, loaded with add_union into two engines (the
+  // second a memo hit), gives bit-identical per-PoI factors and totals to
+  // add_collection of the same relevant footprints.
+  Rng rng(31337);
+  for (int trial = 0; trial < 10; ++trial) {
+    PoiList pois;
+    for (int i = 0; i < 6; ++i) {
+      pois.push_back(make_poi(rng.uniform(-200.0, 200.0), rng.uniform(-200.0, 200.0), i));
+      if (i % 3 == 0) {
+        auto profile = std::make_shared<AspectProfile>();
+        profile->set_band(Arc{rng.uniform(0.0, kTwoPi), 1.0}, 2.5);
+        pois.back().aspect_profile = std::move(profile);
+      }
+    }
+    const CoverageModel model(pois, deg_to_rad(30.0));
+    std::vector<std::shared_ptr<const MetadataSnapshot>> snaps;
+    std::vector<NodeCollection> collections;
+    for (NodeId node = 2; node < 8; ++node) {
+      std::vector<PhotoMeta> photos;
+      for (int k = 0; k < 5; ++k) {
+        const auto& poi = pois[static_cast<std::size_t>(rng.uniform_int(0, 5))];
+        photos.push_back(photo_viewing(poi, rng.uniform(0.0, 360.0)));
+      }
+      photos.push_back(test::make_photo(5000.0, 5000.0, 0.0));  // covers nothing
+      NodeCollection nc{node, rng.uniform(0.1, 1.0), {}};
+      for (const PhotoMeta& p : photos) {
+        const PhotoFootprint& fp = model.footprint_cached(p);
+        if (fp.relevant()) nc.footprints.push_back(&fp);
+      }
+      collections.push_back(nc);
+      snaps.push_back(std::make_shared<const MetadataSnapshot>(std::move(photos)));
+    }
+    SelectionEnvironment direct(model, collections);
+    SelectionEnvironment first(model), second(model);
+    for (std::size_t i = 0; i < collections.size(); ++i) {
+      const NodeCollection& nc = collections[i];
+      first.add_union(nc.node, nc.delivery_prob, snaps[i]->arc_union(first));
+      const PoiArcUnion* memo = &snaps[i]->arc_union(second);
+      EXPECT_EQ(memo, &snaps[i]->arc_union(first));  // computed once
+      second.add_union(nc.node, nc.delivery_prob, *memo);
+    }
+    for (const SelectionEnvironment* env : {&first, &second}) {
+      for (std::size_t poi = 0; poi < pois.size(); ++poi) {
+        EXPECT_EQ(env->point_miss(poi), direct.point_miss(poi));
+        EXPECT_EQ(env->aspect_miss(poi).full_integral(),
+                  direct.aspect_miss(poi).full_integral());
+      }
+      const CoverageValue t = env->total();
+      const CoverageValue want = direct.total();
+      EXPECT_EQ(t.point, want.point);
+      EXPECT_EQ(t.aspect, want.aspect);
+      EXPECT_NO_THROW(env->audit());
+    }
+  }
+}
+
+TEST(SelectionEnv, SnapshotUnionServesOneModel) {
+  const CoverageModel a = test::single_poi_model(30.0);
+  const CoverageModel b = test::single_poi_model(30.0);
+  const MetadataSnapshot snap({photo_viewing(a.pois()[0], 0.0)});
+  SelectionEnvironment env_a(a), env_b(b);
+  EXPECT_FALSE(snap.arc_union(env_a).empty());
+  EXPECT_THROW(snap.arc_union(env_b), std::logic_error);
 }
 
 TEST(SelectionEnv, RejectsZeroDeliveryProbability) {
