@@ -121,13 +121,13 @@ class MetadataCache {
   }
 
   /// Deep invariant check (audit builds / tests): every entry is keyed by its
-  /// own owner id and carries a snapshot, owners are valid (>= 0), inter-contact rates satisfy
-  /// lambda >= 0 and are finite, delivery probabilities lie in [0, 1],
-  /// observation timestamps are finite and non-negative (update() only ever
-  /// replaces an entry with a fresher one, so observed_at is monotone per
-  /// owner), revision stamps are unique and within the issued range, and the
-  /// validity threshold is a probability. Throws std::logic_error on
-  /// violation.
+  /// own owner id and carries a snapshot, owners are valid (>= 0),
+  /// inter-contact rates satisfy lambda >= 0 and are finite, delivery
+  /// probabilities lie in [0, 1], observation timestamps are finite and
+  /// non-negative (update() only ever replaces an entry with a fresher one,
+  /// so observed_at is monotone per owner), revision stamps are unique and
+  /// within the issued range, and the validity threshold is a probability.
+  /// Throws std::logic_error on violation.
   void audit() const;
 
  private:
