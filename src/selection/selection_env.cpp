@@ -283,16 +283,11 @@ SelectionEnvironment::SelectionEnvironment(const CoverageModel& model,
 }
 
 void SelectionEnvironment::add_collection(const NodeCollection& collection) {
-  push_covers(collection.node, collection.delivery_prob, unite(collection.footprints));
+  add_union(collection.node, collection.delivery_prob, unite(collection.footprints));
 }
 
 void SelectionEnvironment::add_union(NodeId node, double delivery_prob,
-                                     const PoiArcUnion& arcs) {
-  push_covers(node, delivery_prob, arcs);
-}
-
-void SelectionEnvironment::push_covers(NodeId node, double delivery_prob,
-                                       PoiArcUnion arcs) {
+                                     PoiArcUnion arcs) {
   PHOTODTN_CHECK_MSG(!loaded_.contains(node),
                      "environment already holds this node's collection");
   PHOTODTN_CHECK_MSG(is_probability(delivery_prob),
@@ -314,7 +309,7 @@ void SelectionEnvironment::extend_collection(
     NodeId node, double delivery_prob, std::span<const PhotoFootprint* const> extra) {
   const auto it = loaded_.find(node);
   if (it == loaded_.end()) {
-    push_covers(node, delivery_prob, unite(extra));
+    add_union(node, delivery_prob, unite(extra));
     return;
   }
   PHOTODTN_CHECK_MSG(it->second.delivery_prob == delivery_prob,

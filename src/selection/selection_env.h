@@ -173,9 +173,11 @@ class SelectionEnvironment {
   void add_collection(const NodeCollection& collection);
 
   /// add_collection from a precomputed union of the collection's footprints
-  /// (unite()): bitwise the same cover entries, each owning a copy of its
-  /// arcs. Lets many environments load one shared, immutable union.
-  void add_union(NodeId node, double delivery_prob, const PoiArcUnion& arcs);
+  /// (unite()): bitwise the same cover entries. Covers own their arcs, so
+  /// passing a kept union copies it, and one shared union can load into
+  /// many environments. The one loading routine behind add_collection and
+  /// extend_collection's first load.
+  void add_union(NodeId node, double delivery_prob, PoiArcUnion arcs);
 
   /// Unions the footprints' arcs per PoI, in list order, over this
   /// environment's PoI-indexed scratch: the routine add_collection and
@@ -237,10 +239,6 @@ class SelectionEnvironment {
   };
 
   void refresh(std::size_t poi) const;
-  /// Registers `node` and appends one cover entry per PoI of `arcs`, in
-  /// ascending PoI order, marking each dirty. The one loading routine behind
-  /// add_collection, add_union and extend_collection's first load.
-  void push_covers(NodeId node, double delivery_prob, PoiArcUnion arcs);
 
   const CoverageModel* model_;
   // Per-PoI state as parallel arrays (structure-of-arrays): the hot queries
