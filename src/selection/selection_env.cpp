@@ -32,19 +32,14 @@ void PiecewiseMiss::rebuild(std::span<const std::pair<double, const ArcSet*>> co
   prefix_.clear();
   lut_.clear();
   lut_scale_ = 0.0;
-  constant_ = 1.0;
   for (const auto& [p, arcs] : covers) arcs->append_boundaries(cuts_);
   if (weighted)
     for (const double b : profile->breakpoints()) cuts_.push_back(b);
 
-  if (cuts_.empty()) {
-    // Either nothing covers this PoI (constant 1) or some set is the full
-    // circle (constant product); the profile is uniform here, since a
-    // non-uniform one always contributes breakpoints.
-    for (const auto& [p, arcs] : covers)
-      if (arcs->full()) constant_ *= 1.0 - p;
-    return;
-  }
+  // No cuts means nothing covers this PoI: miss 1 everywhere. Any arc, the
+  // full circle included, contributes the cut 0, and a non-uniform profile
+  // always contributes breakpoints.
+  if (cuts_.empty()) return;
 
   cuts_.push_back(0.0);
   std::sort(cuts_.begin(), cuts_.end());
@@ -150,13 +145,13 @@ std::size_t PiecewiseMiss::segment_of(double a) const noexcept {
 }
 
 double PiecewiseMiss::value_at(double angle) const noexcept {
-  if (cuts_.empty()) return constant_;
+  if (cuts_.empty()) return 1.0;
   return vals_[segment_of(normalize_angle(angle))];
 }
 
 double PiecewiseMiss::integral(double lo, double hi) const noexcept {
   if (hi <= lo) return 0.0;
-  if (cuts_.empty()) return constant_ * (hi - lo);
+  if (cuts_.empty()) return hi - lo;
   const std::size_t a = segment_of(lo);
   const std::size_t b = segment_of(hi);  // hi == 2*pi lands in the last segment
   if (a == b) return rate(a) * (hi - lo);
@@ -196,7 +191,7 @@ double PiecewiseMiss::integrate_excluding_scan(double lo, double hi,
     const double len = (h - l) - exclude.overlap_linear(l, h);
     return val * std::max(0.0, len);
   };
-  if (cuts_.empty()) return piece(lo, hi, constant_);
+  if (cuts_.empty()) return piece(lo, hi, 1.0);
   double total = 0.0;
   const std::size_t n = cuts_.size();
   for (std::size_t k = 0; k < n; ++k) {
@@ -207,13 +202,11 @@ double PiecewiseMiss::integrate_excluding_scan(double lo, double hi,
 }
 
 double PiecewiseMiss::full_integral() const noexcept {
-  if (cuts_.empty()) return constant_ * kTwoPi;
+  if (cuts_.empty()) return kTwoPi;
   return prefix_.back();
 }
 
 void PiecewiseMiss::audit() const {
-  PHOTODTN_CHECK_MSG(std::isfinite(constant_) && constant_ >= 0.0 && constant_ <= 1.0,
-                     "PiecewiseMiss constant must be a probability");
   if (cuts_.empty()) {
     PHOTODTN_CHECK_MSG(vals_.empty() && weights_.empty() && rates_.empty() &&
                            prefix_.empty() && lut_.empty(),

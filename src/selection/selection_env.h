@@ -118,8 +118,6 @@ class PiecewiseMiss {
   /// expected *uncovered* aspect mass of the PoI; C_ex factors through it.
   double full_integral() const noexcept;
 
-  bool is_constant_one() const noexcept { return cuts_.empty() && constant_ == 1.0; }
-
   /// Number of constant segments (0 for the constant function). The scan
   /// baseline is O(segment_count()) per integral; the prefix path O(log).
   std::size_t segment_count() const noexcept { return cuts_.size(); }
@@ -136,7 +134,7 @@ class PiecewiseMiss {
 
   // Linear segmentation of [0, 2*pi): segment k spans
   // [cuts_[k], cuts_[k+1]) with the last ending at 2*pi; cuts_[0] == 0.
-  // Empty cuts_ means "constant_ everywhere, uniform weight".
+  // Empty cuts_ means miss 1 everywhere with uniform weight.
   std::vector<double> cuts_;
   std::vector<double> vals_;     // env miss product per segment
   std::vector<double> weights_;  // profile weight per segment; empty = 1
@@ -153,7 +151,6 @@ class PiecewiseMiss {
   static constexpr std::size_t kLutMinSegments = 32;
   std::vector<std::uint32_t> lut_;
   double lut_scale_ = 0.0;
-  double constant_ = 1.0;        // value when cuts_ is empty
 };
 
 class SelectionEnvironment {

@@ -250,6 +250,20 @@ TEST(PiecewiseMissRebuild, InPlaceEqualsFreshBuildThroughEveryShape) {
   EXPECT_GE(PiecewiseMiss::build(steps[3].covers, &profile).segment_count(), 32u);
 }
 
+TEST(PiecewiseMissRebuild, FullCircleCoverIsOneSegment) {
+  // A full circle still contributes the cut 0, so only an uncovered PoI
+  // builds the segment-free constant 1.
+  ArcSet full;
+  full.add({0.0, kTwoPi});
+  ASSERT_TRUE(full.full());
+  const std::vector<std::pair<double, const ArcSet*>> covers = {{0.3, &full}};
+  const PiecewiseMiss pm = PiecewiseMiss::build(covers);
+  EXPECT_EQ(pm.segment_count(), 1u);
+  EXPECT_EQ(pm.value_at(2.0), 1.0 - 0.3);
+  EXPECT_EQ(pm.full_integral(), (1.0 - 0.3) * kTwoPi);
+  EXPECT_NO_THROW(pm.audit());
+}
+
 TEST(SelectionEnv, MemoizedUnionLoadsBitwiseLikeAddCollection) {
   // A snapshot's memoized union, loaded with add_union into two engines (the
   // second a memo hit), gives bit-identical per-PoI factors and totals to
